@@ -40,6 +40,7 @@
 #include <cstring>
 #include <fstream>
 #include <memory>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -480,56 +481,23 @@ int run_sharded(const Args& args) {
     }
   }
 
-  // Conservation: each shard's ledger must satisfy the engine identities
-  // exactly, and the global identities must hold for the sums — every
-  // offered packet is accounted on exactly one shard.
+  // Conservation (rt::EngineStats::check): each shard's ledger must satisfy
+  // the per-engine identities exactly, and the global sum the offer and
+  // settled-migration ones too — every offered packet is accounted on
+  // exactly one shard.
   bool conserve_ok = true;
   {
-    struct Identity {
-      const char* name;
-      uint64_t lhs, rhs;
-    };
     auto check = [&](const std::string& where, const rt::EngineStats& es,
-                     uint64_t offers, bool have_offers) {
-      const auto d = [&](obs::DropCause c) {
-        return es.drops[static_cast<std::size_t>(c)];
-      };
-      const uint64_t pre = d(obs::DropCause::kUnknownFlow) +
-                           d(obs::DropCause::kBufferLimit) +
-                           d(obs::DropCause::kShed);
-      const uint64_t post =
-          d(obs::DropCause::kPushout) + d(obs::DropCause::kFlowRemoved);
-      // Migration-extended identities (docs/ROBUSTNESS.md "Shard failover"):
-      // adopted backlog enters a shard as migrated_in (alongside its own
-      // ingress), harvested backlog leaves as migrated_out. Globally the two
-      // cancel once every failover epoch settles.
-      std::vector<Identity> ids = {
-          {"ingress_pushed + migrated_in == accepted + pre_enqueue_drops + "
-           "abandoned",
-           es.ingress_pushed + es.migrated_in, es.accepted + pre + es.abandoned},
-          {"accepted == transmitted + backlog + post_enqueue_drops + "
-           "migrated_out",
-           es.accepted, es.transmitted + es.backlog + post + es.migrated_out},
-      };
-      if (have_offers) {
-        ids.insert(ids.begin(),
-                   {"offers == ingress_pushed + ingress_drops", offers,
-                    es.ingress_pushed + es.ingress_drops});
-        ids.push_back({"migrated_in == migrated_out (settled failovers)",
-                       es.migrated_in, es.migrated_out});
+                     std::optional<uint64_t> offers) {
+      if (const auto broken = es.check(offers)) {
+        std::printf("conservation VIOLATED (%s): %s\n", where.c_str(),
+                    rt::to_string(*broken).c_str());
+        conserve_ok = false;
       }
-      for (const Identity& id : ids)
-        if (id.lhs != id.rhs) {
-          std::printf("conservation VIOLATED (%s): %s (%llu != %llu)\n",
-                      where.c_str(), id.name,
-                      static_cast<unsigned long long>(id.lhs),
-                      static_cast<unsigned long long>(id.rhs));
-          conserve_ok = false;
-        }
     };
     for (std::size_t k = 0; k < args.shards; ++k)
-      check("shard " + std::to_string(k), engine->shard_stats(k), 0, false);
-    check("global sum", st, load_gen.produced_total(), true);
+      check("shard " + std::to_string(k), engine->shard_stats(k), {});
+    check("global sum", st, load_gen.produced_total());
     if (conserve_ok)
       std::printf("conservation OK: every offered packet is accounted on "
                   "exactly one shard (sum of %zu shard ledgers == offers)\n",
@@ -825,43 +793,18 @@ int main(int argc, char** argv) {
               st.transmitted / elapsed, st.tx_bits / elapsed, elapsed,
               1e3 * st.max_service_lag);
 
-  // Ledger conservation self-check (docs/ROBUSTNESS.md): the three exact
+  // Ledger conservation self-check (rt::EngineStats::check): the exact
   // identities the engine guarantees once stop() has returned. LoadGen is
   // the only producer here, so its attempt count is the engine's offer
   // total. Any mismatch is a bug, never noise — fail the run.
   bool conserve_ok = true;
-  {
-    const auto d = [&](obs::DropCause c) {
-      return st.drops[static_cast<std::size_t>(c)];
-    };
-    const uint64_t pre = d(obs::DropCause::kUnknownFlow) +
-                         d(obs::DropCause::kBufferLimit) +
-                         d(obs::DropCause::kShed);
-    const uint64_t post =
-        d(obs::DropCause::kPushout) + d(obs::DropCause::kFlowRemoved);
-    struct Identity {
-      const char* name;
-      uint64_t lhs, rhs;
-    };
-    const Identity ids[] = {
-        {"offers == ingress_pushed + ingress_drops", load_gen.produced_total(),
-         st.ingress_pushed + st.ingress_drops},
-        {"ingress_pushed == accepted + pre_enqueue_drops + abandoned",
-         st.ingress_pushed, st.accepted + pre + st.abandoned},
-        {"accepted == transmitted + backlog + post_enqueue_drops", st.accepted,
-         st.transmitted + st.backlog + post},
-    };
-    for (const Identity& id : ids)
-      if (id.lhs != id.rhs) {
-        std::printf("conservation VIOLATED: %s (%llu != %llu)\n", id.name,
-                    static_cast<unsigned long long>(id.lhs),
-                    static_cast<unsigned long long>(id.rhs));
-        conserve_ok = false;
-      }
-    if (conserve_ok)
-      std::printf("conservation OK: every offered packet is accounted "
-                  "(transmitted, backlogged, dropped by cause, or "
-                  "abandoned)\n");
+  if (const auto broken = st.check(load_gen.produced_total())) {
+    std::printf("conservation VIOLATED: %s\n", rt::to_string(*broken).c_str());
+    conserve_ok = false;
+  } else {
+    std::printf("conservation OK: every offered packet is accounted "
+                "(transmitted, backlogged, dropped by cause, or "
+                "abandoned)\n");
   }
 
   const obs::telemetry::TelemetrySnapshot tsnap = telemetry.snapshot();

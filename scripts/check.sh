@@ -8,6 +8,7 @@
 # Set PERF=1 for the perf-regression gate (docs/PERFORMANCE.md): the three
 # perf benches run with the allocation guard and throughput floor enforced,
 # and sim throughput must clear 1.5x the committed pre-optimisation baseline.
+# A passing run ends by printing the src/ and examples/ line totals.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -91,5 +92,11 @@ fi
 if [[ "${TSAN:-0}" == "1" ]]; then
   scripts/tsan.sh
 fi
+
+# Tracked size (ROADMAP): lines in src/ and examples/.
+src_lines=$(find src -type f -exec cat {} + | wc -l)
+examples_lines=$(find examples -type f -exec cat {} + | wc -l)
+echo "lines: src/ $src_lines, examples/ $examples_lines," \
+     "total $((src_lines + examples_lines))"
 
 echo "check.sh: all gates passed"

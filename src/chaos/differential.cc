@@ -4,6 +4,7 @@
 #include <chrono>
 #include <cmath>
 #include <memory>
+#include <optional>
 #include <random>
 #include <sstream>
 #include <thread>
@@ -201,6 +202,60 @@ CheckResult check_rt(const config::ExperimentSpec& spec, uint64_t seed,
 
 namespace {
 
+// Telemetry conservation: the lock-free plane and the engine's own ledger
+// count the same packets through independent code paths. The plane's
+// counters, read into an EngineStats, must pass the same ledger check and
+// agree field by field with the engine's ledger. `backlog` is the plane's
+// backlog gauge total, or nullopt where no gauge describes the final state;
+// the engine's backlog then stands in. The plane does not count migration,
+// so the engine's migrated_in/migrated_out complete its identities.
+bool check_telemetry_ledger(const obs::telemetry::TelemetrySnapshot& ts,
+                            const rt::EngineStats& es,
+                            std::optional<uint64_t> backlog,
+                            CheckResult& res) {
+  namespace tel = obs::telemetry;
+  auto c = [&](tel::CounterId id) { return ts.counter_total(id); };
+  rt::EngineStats plane;
+  plane.ingress_pushed = c(tel::CounterId::kIngressPushed);
+  plane.accepted = c(tel::CounterId::kAccepted);
+  plane.transmitted = c(tel::CounterId::kTransmitted);
+  plane.abandoned = c(tel::CounterId::kAbandoned);
+  plane.stalls = c(tel::CounterId::kStalls);
+  plane.recoveries = c(tel::CounterId::kRecoveries);
+  for (std::size_t i = 0; i < obs::kDropCauseCount; ++i) {
+    const obs::DropCause cause = static_cast<obs::DropCause>(i);
+    if (cause != obs::DropCause::kNone)
+      plane.drops[i] = c(tel::drop_counter(cause));
+  }
+  plane.migrated_in = es.migrated_in;
+  plane.migrated_out = es.migrated_out;
+  plane.backlog = backlog.value_or(es.backlog);
+
+  auto broken = [&](const std::string& what) {
+    res.fail("telemetry", "telemetry conservation broken: " + what);
+    return false;
+  };
+  if (const auto b = plane.check()) return broken(rt::to_string(*b));
+  auto differs = [&](const char* field, uint64_t lhs, uint64_t rhs) {
+    return lhs != rhs &&
+           !broken(std::string("plane vs ledger: ") + field + " (" +
+                   std::to_string(lhs) + " != " + std::to_string(rhs) + ")");
+  };
+  if (differs("ingress_pushed", plane.ingress_pushed, es.ingress_pushed) ||
+      differs("accepted", plane.accepted, es.accepted) ||
+      differs("transmitted", plane.transmitted, es.transmitted) ||
+      differs("backlog", plane.backlog, es.backlog) ||
+      differs("abandoned", plane.abandoned, es.abandoned) ||
+      differs("stalls", plane.stalls, es.stalls) ||
+      differs("recoveries", plane.recoveries, es.recoveries))
+    return false;
+  for (std::size_t i = 0; i < obs::kDropCauseCount; ++i)
+    if (differs(obs::to_string(static_cast<obs::DropCause>(i)),
+                plane.drops[i], es.drops[i]))
+      return false;
+  return true;
+}
+
 // Sharded capture->replay check (RtCheckOptions::shards > 1): the offered
 // load routes through a ShardedEngine, each shard's op sequence replays
 // independently against a fresh scheduler built the way the shard factory
@@ -298,11 +353,13 @@ CheckResult check_rt_sharded(const config::ExperimentSpec& spec, uint64_t seed,
   tel::Telemetry tele(topts);
   engine->set_telemetry(&tele);
   engine->start();
+  uint64_t offered = 0;
   for (const Offer& o : offers) {
     Packet p;
     p.flow = o.flow;
     p.seq = o.seq;
     p.length_bits = o.bits;
+    ++offered;
     if (!engine->offer_wait(0, p)) break;
   }
 
@@ -310,7 +367,8 @@ CheckResult check_rt_sharded(const config::ExperimentSpec& spec, uint64_t seed,
   // before the drain stop settles everything: kill fires on the victim's
   // raw clock mid-drain, then fence -> rehome -> cold restart -> rehome
   // back. Wait (bounded) for a completed failover, the victim's second
-  // engine epoch, and the migrated ledger to cancel out.
+  // engine epoch, and the summed ledger to settle (migrated packets
+  // cancelled out).
   if (kill_mode) {
     const auto t0 = std::chrono::steady_clock::now();
     auto waited = [&] {
@@ -319,10 +377,9 @@ CheckResult check_rt_sharded(const config::ExperimentSpec& spec, uint64_t seed,
           .count();
     };
     while (waited() < 5.0) {
-      const rt::EngineStats es = engine->stats();
       if (engine->shard_failovers() > 0 &&
           engine->engine_epochs(kill_victim) > 1 &&
-          es.migrated_in == es.migrated_out)
+          !engine->stats().check(offered))
         break;
       std::this_thread::sleep_for(std::chrono::milliseconds(1));
     }
@@ -384,11 +441,9 @@ CheckResult check_rt_sharded(const config::ExperimentSpec& spec, uint64_t seed,
                    std::to_string(seed) + ")");
       return res;
     }
-    if (es.migrated_in != es.migrated_out) {
+    if (const auto broken = es.check(offered)) {
       res.fail("rt-failover",
-               "migration did not settle: migrated_in " +
-                   std::to_string(es.migrated_in) + " != migrated_out " +
-                   std::to_string(es.migrated_out));
+               "ledger did not settle: " + rt::to_string(*broken));
       return res;
     }
     if (es.transmitted == 0) {
@@ -398,63 +453,20 @@ CheckResult check_rt_sharded(const config::ExperimentSpec& spec, uint64_t seed,
   }
 
   // Cross-shard ledger conservation: the telemetry plane sums counters over
-  // every shard's cells, the engine sums the per-shard ledgers — both must
-  // agree exactly, and backlog is the sum of the per-shard backlog gauges.
+  // every shard's cells, the engine sums the per-shard ledgers, and backlog
+  // is the sum of the per-shard backlog gauges. The gauge is each epoch's
+  // final publication — a fenced epoch publishes its pre-harvest backlog —
+  // so kill runs check the ledger's backlog.
   {
     const tel::TelemetrySnapshot ts = tele.snapshot();
-    const rt::EngineStats es = engine->stats();
-    auto c = [&](tel::CounterId id) { return ts.counter_total(id); };
-    const uint64_t pre_drops = c(tel::CounterId::kDropUnknownFlow) +
-                               c(tel::CounterId::kDropBufferLimit) +
-                               c(tel::CounterId::kDropShed);
-    const uint64_t post_drops = c(tel::CounterId::kDropPushout) +
-                                c(tel::CounterId::kDropFlowRemoved);
-    // A migration epoch moves packets between shard ledgers: adopted
-    // packets count accepted (and migrated_in) at the destination without
-    // an ingress push there, harvested ones leave the source as
-    // migrated_out. The summed identities pick up those two terms and
-    // cancel exactly once every migration settled. The per-shard backlog
-    // gauge is each epoch's final publication — a fenced epoch publishes
-    // its pre-harvest backlog — so kill runs check the ledger's backlog.
-    uint64_t backlog = 0;
-    for (std::size_t k = 0; k < shards; ++k)
-      backlog +=
-          static_cast<uint64_t>(ts.gauge(tel::GaugeId::kBacklogPackets, k));
-    if (kill_mode) backlog = es.backlog;
-    auto conserve = [&](const char* what, uint64_t lhs, uint64_t rhs) {
-      if (lhs == rhs) return true;
-      std::ostringstream ss;
-      ss << "sharded telemetry conservation broken (" << what << "): " << lhs
-         << " != " << rhs;
-      res.fail("telemetry", ss.str());
-      return false;
-    };
-    if (!conserve("pushed + migrated_in == accepted + pre-drops + abandoned",
-                  c(tel::CounterId::kIngressPushed) + es.migrated_in,
-                  c(tel::CounterId::kAccepted) + pre_drops +
-                      c(tel::CounterId::kAbandoned)) ||
-        !conserve("accepted == transmitted + backlog + post-drops + migrated",
-                  c(tel::CounterId::kAccepted),
-                  c(tel::CounterId::kTransmitted) + backlog + post_drops +
-                      es.migrated_out) ||
-        !conserve("plane vs ledger: ingress_pushed",
-                  c(tel::CounterId::kIngressPushed), es.ingress_pushed) ||
-        !conserve("plane vs ledger: accepted", c(tel::CounterId::kAccepted),
-                  es.accepted) ||
-        !conserve("plane vs ledger: transmitted",
-                  c(tel::CounterId::kTransmitted), es.transmitted) ||
-        (!kill_mode &&
-         !conserve("plane vs ledger: backlog", backlog, es.backlog)) ||
-        !conserve("plane vs ledger: abandoned", c(tel::CounterId::kAbandoned),
-                  es.abandoned))
-      return res;
-    for (std::size_t i = 0; i < obs::kDropCauseCount; ++i) {
-      const obs::DropCause cause = static_cast<obs::DropCause>(i);
-      if (cause == obs::DropCause::kNone) continue;
-      if (!conserve(obs::to_string(cause), c(tel::drop_counter(cause)),
-                    es.drops[i]))
-        return res;
+    std::optional<uint64_t> backlog;
+    if (!kill_mode) {
+      backlog = 0;
+      for (std::size_t k = 0; k < shards; ++k)
+        *backlog +=
+            static_cast<uint64_t>(ts.gauge(tel::GaugeId::kBacklogPackets, k));
     }
+    if (!check_telemetry_ledger(ts, engine->stats(), backlog, res)) return res;
   }
 
   // Hierarchical root bound over the sampled middle windows: for every pair
@@ -700,57 +712,14 @@ CheckResult check_rt(const config::ExperimentSpec& spec, uint64_t seed,
     }
   }
 
-  // Telemetry conservation: the lock-free plane and the engine's own ledger
-  // count the same packets through independent code paths, so their flow
-  // identities must agree exactly — every packet pushed through ingress is
-  // accepted, dropped for a named cause, abandoned, or still in the backlog.
+  // Telemetry conservation: every packet pushed through ingress is accepted,
+  // dropped for a named cause, abandoned, or still in the backlog — on the
+  // plane exactly as in the engine's ledger.
   {
-    namespace tel = obs::telemetry;
-    const tel::TelemetrySnapshot ts = tele.snapshot();
-    const rt::EngineStats es = engine.stats();
-    auto c = [&](tel::CounterId id) { return ts.counter_total(id); };
-    const uint64_t pre_drops = c(tel::CounterId::kDropUnknownFlow) +
-                               c(tel::CounterId::kDropBufferLimit) +
-                               c(tel::CounterId::kDropShed);
-    const uint64_t post_drops = c(tel::CounterId::kDropPushout) +
-                                c(tel::CounterId::kDropFlowRemoved);
-    const uint64_t backlog = static_cast<uint64_t>(
-        ts.gauge(tel::GaugeId::kBacklogPackets, 0));
-    auto conserve = [&](const char* what, uint64_t lhs, uint64_t rhs) {
-      if (lhs == rhs) return true;
-      std::ostringstream ss;
-      ss << "telemetry conservation broken (" << what << "): " << lhs
-         << " != " << rhs;
-      res.fail("telemetry", ss.str());
-      return false;
-    };
-    if (!conserve("pushed == accepted + pre-drops + abandoned",
-                  c(tel::CounterId::kIngressPushed),
-                  c(tel::CounterId::kAccepted) + pre_drops +
-                      c(tel::CounterId::kAbandoned)) ||
-        !conserve("accepted == transmitted + backlog + post-drops",
-                  c(tel::CounterId::kAccepted),
-                  c(tel::CounterId::kTransmitted) + backlog + post_drops) ||
-        !conserve("plane vs ledger: ingress_pushed",
-                  c(tel::CounterId::kIngressPushed), es.ingress_pushed) ||
-        !conserve("plane vs ledger: accepted", c(tel::CounterId::kAccepted),
-                  es.accepted) ||
-        !conserve("plane vs ledger: transmitted",
-                  c(tel::CounterId::kTransmitted), es.transmitted) ||
-        !conserve("plane vs ledger: abandoned", c(tel::CounterId::kAbandoned),
-                  es.abandoned) ||
-        !conserve("plane vs ledger: stalls", c(tel::CounterId::kStalls),
-                  es.stalls) ||
-        !conserve("plane vs ledger: recoveries",
-                  c(tel::CounterId::kRecoveries), es.recoveries))
-      return res;
-    for (std::size_t i = 0; i < obs::kDropCauseCount; ++i) {
-      const obs::DropCause cause = static_cast<obs::DropCause>(i);
-      if (cause == obs::DropCause::kNone) continue;
-      if (!conserve(obs::to_string(cause), c(tel::drop_counter(cause)),
-                    es.drops[i]))
-        return res;
-    }
+    const obs::telemetry::TelemetrySnapshot ts = tele.snapshot();
+    const auto backlog = static_cast<uint64_t>(
+        ts.gauge(obs::telemetry::GaugeId::kBacklogPackets, 0));
+    if (!check_telemetry_ledger(ts, engine.stats(), backlog, res)) return res;
   }
 
   // Single-threaded replay of the captured op sequence on a fresh scheduler.

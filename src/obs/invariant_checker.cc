@@ -129,8 +129,7 @@ void InvariantChecker::on_event(const TraceEvent& e) {
     case TraceEventType::kDrop:
       ++dropped_;
       last_backlog_ = e.backlog;
-      if (e.drop_cause == DropCause::kPushout ||
-          e.drop_cause == DropCause::kFlowRemoved) {
+      if (is_post_enqueue(e.drop_cause)) {
         // The packet was tagged/enqueued, then removed without a dequeue:
         // credit it back so conservation balances across churn and pushout.
         ++removed_;

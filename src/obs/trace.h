@@ -51,6 +51,14 @@ enum class DropCause : uint8_t {
 };
 inline constexpr std::size_t kDropCauseCount = 8;
 
+// True for causes that remove a packet the scheduler already holds (it was
+// tagged and enqueued, then left without a dequeue); every other cause
+// refuses the packet before it reaches the discipline. The split the
+// conservation ledgers of the simulator and the rt engine both rest on.
+constexpr bool is_post_enqueue(DropCause c) {
+  return c == DropCause::kPushout || c == DropCause::kFlowRemoved;
+}
+
 const char* to_string(TraceEventType t);
 const char* to_string(DropCause c);
 

@@ -61,6 +61,63 @@ const char* to_string(StallStage s) {
   return "?";
 }
 
+std::string to_string(const LedgerBreak& b) {
+  return std::string(b.identity) + " (" + std::to_string(b.lhs) +
+         " != " + std::to_string(b.rhs) + ")";
+}
+
+uint64_t EngineStats::post_enqueue_drops() const {
+  uint64_t n = 0;
+  for (std::size_t c = 0; c < obs::kDropCauseCount; ++c)
+    if (obs::is_post_enqueue(static_cast<obs::DropCause>(c))) n += drops[c];
+  return n;
+}
+
+EngineStats& EngineStats::operator+=(const EngineStats& o) {
+  ingress_pushed += o.ingress_pushed;
+  ingress_drops += o.ingress_drops;
+  accepted += o.accepted;
+  transmitted += o.transmitted;
+  tx_bits += o.tx_bits;
+  abandoned += o.abandoned;
+  for (std::size_t c = 0; c < obs::kDropCauseCount; ++c) drops[c] += o.drops[c];
+  migrated_in += o.migrated_in;
+  migrated_out += o.migrated_out;
+  backlog += o.backlog;
+  max_service_lag = std::max(max_service_lag, o.max_service_lag);
+  stalls += o.stalls;
+  recoveries += o.recoveries;
+  if (o.last_stall_stage != StallStage::kNone)
+    last_stall_stage = o.last_stall_stage;
+  overload_state = std::max(overload_state, o.overload_state);
+  return *this;
+}
+
+std::optional<LedgerBreak> EngineStats::check(
+    std::optional<uint64_t> offers) const {
+  const uint64_t post = post_enqueue_drops();
+  const uint64_t pre = dropped() - post;
+  const LedgerBreak ids[] = {
+      {"offers == ingress_pushed + ingress_drops", offers.value_or(0),
+       ingress_pushed + ingress_drops},
+      {"ingress_pushed + migrated_in == accepted + pre_enqueue_drops + "
+       "abandoned",
+       ingress_pushed + migrated_in, accepted + pre + abandoned},
+      {"accepted == transmitted + backlog + post_enqueue_drops + "
+       "migrated_out",
+       accepted, transmitted + backlog + post + migrated_out},
+      {"migrated_in == migrated_out (settled failovers)", migrated_in,
+       migrated_out},
+  };
+  // The first and last identities need the offer count: they hold only for
+  // the whole set of engines the offers went to.
+  const std::size_t first = offers ? 0 : 1;
+  const std::size_t last = offers ? 4 : 3;
+  for (std::size_t i = first; i < last; ++i)
+    if (ids[i].lhs != ids[i].rhs) return ids[i];
+  return std::nullopt;
+}
+
 // Migration control op: parked by adopt_flows/evict_flows, executed by the
 // dispatcher between batches, completion signalled back through ctrl_cv_.
 struct RtEngine::ControlOp {
@@ -273,9 +330,8 @@ void RtEngine::stop(StopMode mode) {
 }
 
 void RtEngine::run() {
-  // The in-flight transmission lives in timers_ as a typed kServiceComplete
-  // event keyed by its pacing deadline: busy == !timers_.empty(), and the
-  // deadline is timers_.next_time().
+  // The link is busy while in_flight_ holds a transmission; its deadline is
+  // the next instant the dispatcher has to act on.
   int idle_streak = 0;
   // Watchdog bookkeeping: the last instant a transmission started or
   // completed, on the RAW clock axis — fault-injected jumps and skews must
@@ -332,7 +388,7 @@ void RtEngine::run() {
     //     exhausted budget exits permanently.
     if (opts_.stall_timeout > 0.0) {
       const Time raw = clock_.raw_now();
-      if (timers_.empty() && sched_.empty()) {
+      if (!in_flight_ && sched_.empty()) {
         last_progress_raw_ = raw;  // idle: no obligations, nothing to watch
       } else if (raw - last_progress_raw_ > opts_.stall_timeout) {
         if (!watchdog_stall(clock_.now(), raw)) return;
@@ -370,16 +426,15 @@ void RtEngine::run() {
     uint64_t served_bits = 0;
     bool progressed = false;
     while (served < kServiceBatch) {
-      if (!timers_.empty()) {
+      if (in_flight_) {
         const Time now = clock_.now();
-        if (now < timers_.next_time()) break;  // deadline in the future
-        sim::EventQueue::Popped done;
-        timers_.pop(done);
+        if (now < in_flight_->deadline) break;  // deadline in the future
         {
           SFQ_PROF_SCOPE(profiler_.get(), tel::HistId::kStageTransmit);
-          complete(done.event.packet, now, /*deadline=*/done.when);
+          complete(in_flight_->packet, now, in_flight_->deadline);
         }
-        served_bits += static_cast<uint64_t>(done.event.packet.length_bits);
+        served_bits += static_cast<uint64_t>(in_flight_->packet.length_bits);
+        in_flight_.reset();
         progressed = true;
         ++served;
       }
@@ -394,7 +449,7 @@ void RtEngine::run() {
         // Nothing queued and (after the pop above) nothing in flight: the
         // link is genuinely idle, so the pacing chain's continuity ends
         // here — the next packet paces from its own `now`.
-        if (timers_.empty())
+        if (!in_flight_)
           link_free_ = std::numeric_limits<double>::infinity();
         break;
       }
@@ -411,8 +466,7 @@ void RtEngine::run() {
       const Time start = std::clamp(link_free_, now - kPacingCatchup, now);
       const Time deadline = profile_->finish_time(start, next->length_bits);
       link_free_ = deadline;
-      timers_.schedule_packet(deadline, sim::EventOp::kServiceComplete,
-                              /*target=*/nullptr, *next);
+      in_flight_ = InFlight{std::move(*next), deadline};
       progressed = true;
     }
     // Flush transmit counters once per serve batch rather than per packet:
@@ -449,7 +503,7 @@ void RtEngine::run() {
     }
 
     // 4. Exit checks.
-    if (stopping && timers_.empty()) {
+    if (stopping && !in_flight_) {
       if (abandon) {
         uint64_t left = 0;
         while (ingress_.pop_earliest()) ++left;
@@ -461,12 +515,12 @@ void RtEngine::run() {
     }
 
     // 5. Wait strategy.
-    if (!timers_.empty()) {
+    if (in_flight_) {
       if (drained > 0) {
         idle_streak = 0;
         continue;  // more arrivals may already be waiting
       }
-      const Time wait = timers_.next_time() - clock_.now();
+      const Time wait = in_flight_->deadline - clock_.now();
       if (wait <= 0.0) continue;
       if (wait > opts_.spin_threshold) {
         // Sleep most of the wait, capped so rings are still drained at a
@@ -497,7 +551,7 @@ bool RtEngine::watchdog_stall(Time now, Time raw_now) {
   // SFQ_TELEMETRY_PROFILING builds give the fine-grained view; this
   // structural diagnosis is always available.)
   StallStage stage = StallStage::kDrain;
-  if (!timers_.empty())
+  if (in_flight_)
     stage = StallStage::kTransmit;
   else if (!sched_.empty())
     stage = StallStage::kSchedule;
@@ -515,12 +569,8 @@ bool RtEngine::watchdog_stall(Time now, Time raw_now) {
     // still transmitted and counted — nothing leaves the ledger during a
     // restart. A deadline already due needs no help; the serve pass below
     // completes it.
-    if (stage == StallStage::kTransmit && timers_.next_time() > now) {
-      sim::EventQueue::Popped done;
-      timers_.pop(done);
-      timers_.schedule_packet(now, sim::EventOp::kServiceComplete,
-                              /*target=*/nullptr, done.event.packet);
-    }
+    if (stage == StallStage::kTransmit && in_flight_->deadline > now)
+      in_flight_->deadline = now;
     // A stall window is not scheduling jitter: break the pacing chain so
     // the restart paces from its own `now` instead of back-dating into the
     // wedge it just recovered from.
@@ -627,6 +677,10 @@ void RtEngine::inject(IngressItem item) {
     drop(std::move(p), now, obs::DropCause::kShed);
     return;
   }
+  admit(std::move(p), now);
+}
+
+void RtEngine::admit(Packet&& p, Time now) {
   if (opts_.buffer_limit != 0 &&
       sched_.backlog_packets() >= opts_.buffer_limit) {
     bool made_room = false;
@@ -634,7 +688,6 @@ void RtEngine::inject(IngressItem item) {
       const FlowId victim = longest_queue();
       if (victim != kInvalidFlow) {
         if (std::optional<Packet> evicted = sched_.pushout(victim, now)) {
-          post_enqueue_drops_.fetch_add(1, std::memory_order_relaxed);
           if (capture_ != nullptr)
             capture_->push_back({CaptureOp::Kind::kPushout, *evicted, now});
           drop(std::move(*evicted), now, obs::DropCause::kPushout);
@@ -746,9 +799,8 @@ EngineStats RtEngine::stats() const {
     s.drops[i] = cause_drops_[i].load(std::memory_order_relaxed);
   s.migrated_in = migrated_in_.load(std::memory_order_relaxed);
   s.migrated_out = migrated_out_.load(std::memory_order_relaxed);
-  const uint64_t done = s.transmitted +
-                        post_enqueue_drops_.load(std::memory_order_relaxed) +
-                        s.migrated_out;
+  const uint64_t done =
+      s.transmitted + s.post_enqueue_drops() + s.migrated_out;
   s.backlog = s.accepted > done ? s.accepted - done : 0;
   s.max_service_lag = max_service_lag_.load(std::memory_order_relaxed);
   s.stalls = stalls_.load(std::memory_order_relaxed);
@@ -862,42 +914,8 @@ void RtEngine::exec_adopt(std::vector<Migration>& flows) {
     for (Packet& p : m.backlog) {
       migrated_in_.fetch_add(1, std::memory_order_relaxed);
       // Arrival path minus the shed gate: traffic the source shard already
-      // admitted must not be shed a second time. Buffer pressure still
-      // resolves through the configured overload policy so the destination
-      // ledger stays exact under taildrop AND pushout.
-      if (opts_.buffer_limit != 0 &&
-          sched_.backlog_packets() >= opts_.buffer_limit) {
-        bool made_room = false;
-        if (opts_.overload_policy == net::OverloadPolicy::kPushout) {
-          const FlowId victim = longest_queue();
-          if (victim != kInvalidFlow) {
-            if (std::optional<Packet> evicted = sched_.pushout(victim, now)) {
-              post_enqueue_drops_.fetch_add(1, std::memory_order_relaxed);
-              if (capture_ != nullptr)
-                capture_->push_back(
-                    {CaptureOp::Kind::kPushout, *evicted, now});
-              drop(std::move(*evicted), now, obs::DropCause::kPushout);
-              made_room = true;
-            }
-          }
-        }
-        if (!made_room) {
-          drop(std::move(p), now, obs::DropCause::kBufferLimit);
-          continue;
-        }
-      }
-      const std::size_t before = sched_.backlog_packets();
-      if (capture_ != nullptr)
-        capture_->push_back({CaptureOp::Kind::kEnqueue, p, now});
-      sched_.enqueue(std::move(p), now);
-      if (sched_.backlog_packets() == before) {
-        cause_drops_[static_cast<std::size_t>(obs::DropCause::kUnknownFlow)]
-            .fetch_add(1, std::memory_order_relaxed);
-        if (tele_on_) disp_writer_.drop(obs::DropCause::kUnknownFlow);
-        continue;
-      }
-      accepted_.fetch_add(1, std::memory_order_relaxed);
-      if (tele_on_) disp_writer_.inc(tel::CounterId::kAccepted);
+      // admitted must not be shed a second time.
+      admit(std::move(p), now);
     }
     m.backlog.clear();
   }

@@ -6,6 +6,7 @@
 #include <limits>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -21,7 +22,6 @@
 #include "rt/fault_clock.h"
 #include "rt/ingress.h"
 #include "rt/ingress_target.h"
-#include "sim/event_queue.h"
 
 namespace sfq::rt {
 
@@ -144,19 +144,26 @@ enum class StopMode {
   kAbandon,
 };
 
+// One violated ledger identity (EngineStats::check): the identity's fixed
+// name and its two sides.
+struct LedgerBreak {
+  const char* identity = "";
+  uint64_t lhs = 0;
+  uint64_t rhs = 0;
+};
+// "<identity> (<lhs> != <rhs>)" — the one wording a broken ledger is
+// reported in.
+std::string to_string(const LedgerBreak& b);
+
 // Relaxed snapshot of engine counters; safe to take from any thread while
-// the engine runs. The ledger it satisfies (exactly, once stop() returned):
-//
-//   offers                         == ingress_pushed + ingress_drops
-//   ingress_pushed + migrated_in   == accepted + pre-enqueue drops + abandoned
-//   accepted                       == transmitted + backlog
-//                                     + post-enqueue drops + migrated_out
-//
-// where pre-enqueue causes are kUnknownFlow/kBufferLimit/kShed and
-// post-enqueue causes are kPushout/kFlowRemoved (see docs/ROBUSTNESS.md).
-// migrated_in/migrated_out count packets that crossed a shard-failover
-// rehome: summed over engines they cancel once every migration settles, so
-// the global identity is exact including migrated packets.
+// the engine runs. Once stop() returned it satisfies the ledger check()
+// defines (docs/ROBUSTNESS.md): every pushed packet is accepted, dropped
+// before enqueue, or abandoned, and every accepted one is transmitted,
+// backlogged, dropped after enqueue, or migrated out. obs::is_post_enqueue
+// splits the drop causes. migrated_in/migrated_out count packets that
+// crossed a shard-failover rehome: summed over engines they cancel once
+// every migration settles, so the global identity is exact including
+// migrated packets.
 struct EngineStats {
   uint64_t ingress_pushed = 0;
   uint64_t ingress_drops = 0;  // ring full, or offer() after stop
@@ -190,6 +197,25 @@ struct EngineStats {
     for (uint64_t d : drops) n += d;
     return n;
   }
+  uint64_t post_enqueue_drops() const;  // obs::is_post_enqueue causes
+
+  // Sums ledgers (shards, engine epochs): counters add, max_service_lag and
+  // overload_state take the max, a diagnosed last_stall_stage wins.
+  EngineStats& operator+=(const EngineStats& o);
+
+  // The ledger's identities, checked in this order; returns the first that
+  // does not hold. Per engine:
+  //
+  //   ingress_pushed + migrated_in == accepted + pre-enqueue drops + abandoned
+  //   accepted == transmitted + backlog + post-enqueue drops + migrated_out
+  //
+  // With the number of offers made to the engine (or to all engines the
+  // stats sum), also the ingress identity, checked first, and the settled
+  // migration, checked last:
+  //
+  //   offers == ingress_pushed + ingress_drops
+  //   migrated_in == migrated_out
+  std::optional<LedgerBreak> check(std::optional<uint64_t> offers = {}) const;
 };
 
 // Wall-clock real-time service engine: runs any Scheduler discipline against
@@ -338,6 +364,10 @@ class RtEngine : public IngressTarget {
  private:
   void run();
   void inject(IngressItem item);
+  // Buffer limit (overload policy), then the discipline: the admission path
+  // arrivals take after the shed gate and adopted migration backlog takes
+  // as is.
+  void admit(Packet&& p, Time now);
   void drop(Packet&& p, Time now, obs::DropCause cause);
   void complete(const Packet& p, Time now, Time deadline);
   FlowId longest_queue() const;
@@ -413,11 +443,14 @@ class RtEngine : public IngressTarget {
   std::vector<double> fair_weights_;    // copied at start(); immutable after
   std::vector<double> fair_max_bits_;
 
-  // Paced-service timer store: the in-flight transmission rides in a typed
-  // kServiceComplete event keyed by its wall-clock deadline. Dispatcher
-  // thread only. Same slab-backed queue as the simulator, so the packet in
-  // flight reuses one slot forever (no per-transmission allocation).
-  sim::EventQueue timers_;
+  // Paced-service timer: the engine transmits one packet at a time, so the
+  // whole timer store is one slot holding that packet and the wall-clock
+  // deadline its transmission completes at. Dispatcher thread only.
+  struct InFlight {
+    Packet packet;
+    Time deadline = 0.0;
+  };
+  std::optional<InFlight> in_flight_;
 
   bool started_ = false;
   std::mutex stop_mu_;
@@ -431,7 +464,6 @@ class RtEngine : public IngressTarget {
   std::atomic<double> tx_bits_{0.0};
   std::atomic<uint64_t> abandoned_{0};
   std::atomic<uint64_t> cause_drops_[obs::kDropCauseCount] = {};
-  std::atomic<uint64_t> post_enqueue_drops_{0};
   std::atomic<double> max_service_lag_{0.0};
   std::atomic<uint64_t> stalls_{0};
   std::atomic<bool> stalled_{false};

@@ -20,12 +20,9 @@ bool Ingress::push(std::size_t i, Packet p, Time now, bool count_full) {
   item.packet = std::move(p);
   item.packet.arrival = now;
   item.t_ingress = now;
-  if (!s.ring.try_push(std::move(item))) {
-    if (count_full) s.drops.fetch_add(1, std::memory_order_relaxed);
-    return false;
-  }
-  s.pushed.fetch_add(1, std::memory_order_relaxed);
-  return true;
+  if (s.ring.try_push(std::move(item))) return true;
+  if (count_full) s.drops.fetch_add(1, std::memory_order_relaxed);
+  return false;
 }
 
 void Ingress::count_drop(std::size_t i) {
@@ -55,17 +52,13 @@ bool Ingress::empty() const {
   return true;
 }
 
-uint64_t Ingress::pushed(std::size_t i) const {
-  return shards_[i]->pushed.load(std::memory_order_relaxed);
-}
-
 uint64_t Ingress::drops(std::size_t i) const {
   return shards_[i]->drops.load(std::memory_order_relaxed);
 }
 
 uint64_t Ingress::total_pushed() const {
   uint64_t n = 0;
-  for (std::size_t i = 0; i < shards_.size(); ++i) n += pushed(i);
+  for (const auto& shard : shards_) n += shard->ring.pushed();
   return n;
 }
 

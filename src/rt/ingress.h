@@ -61,8 +61,7 @@ class Ingress {
   // decisions, not correctness.
   bool empty() const;
 
-  // Any thread (relaxed counters).
-  uint64_t pushed(std::size_t i) const;
+  // Any thread (relaxed counters; pushes are read off the ring indices).
   uint64_t drops(std::size_t i) const;
   uint64_t total_pushed() const;
   uint64_t total_drops() const;
@@ -71,8 +70,7 @@ class Ingress {
   struct Shard {
     explicit Shard(std::size_t capacity) : ring(capacity) {}
     SpscRing<IngressItem> ring;
-    alignas(kCacheLineBytes) std::atomic<uint64_t> pushed{0};
-    std::atomic<uint64_t> drops{0};
+    alignas(kCacheLineBytes) std::atomic<uint64_t> drops{0};
   };
   std::vector<std::unique_ptr<Shard>> shards_;
 };

@@ -366,27 +366,7 @@ int ShardedEngine::overload_state() const {
 
 EngineStats ShardedEngine::stats() const {
   EngineStats total;
-  for (std::size_t k = 0; k < shards_.size(); ++k) {
-    const EngineStats es = shard_stats(k);
-    total.ingress_pushed += es.ingress_pushed;
-    total.ingress_drops += es.ingress_drops;
-    total.accepted += es.accepted;
-    total.transmitted += es.transmitted;
-    total.tx_bits += es.tx_bits;
-    total.abandoned += es.abandoned;
-    for (std::size_t c = 0; c < obs::kDropCauseCount; ++c)
-      total.drops[c] += es.drops[c];
-    total.migrated_in += es.migrated_in;
-    total.migrated_out += es.migrated_out;
-    total.backlog += es.backlog;
-    total.max_service_lag = std::max(total.max_service_lag,
-                                     es.max_service_lag);
-    total.stalls += es.stalls;
-    total.recoveries += es.recoveries;
-    if (es.last_stall_stage != StallStage::kNone)
-      total.last_stall_stage = es.last_stall_stage;
-    total.overload_state = std::max(total.overload_state, es.overload_state);
-  }
+  for (std::size_t k = 0; k < shards_.size(); ++k) total += shard_stats(k);
   return total;
 }
 
@@ -396,27 +376,7 @@ EngineStats ShardedEngine::shard_stats(std::size_t k) const {
   const Shard& s = *shards_[k];
   const std::size_t epochs = s.epoch_count.load(std::memory_order_acquire);
   EngineStats total;
-  for (std::size_t e = 0; e < epochs; ++e) {
-    const EngineStats es = s.epochs[e]->stats();
-    total.ingress_pushed += es.ingress_pushed;
-    total.ingress_drops += es.ingress_drops;
-    total.accepted += es.accepted;
-    total.transmitted += es.transmitted;
-    total.tx_bits += es.tx_bits;
-    total.abandoned += es.abandoned;
-    for (std::size_t c = 0; c < obs::kDropCauseCount; ++c)
-      total.drops[c] += es.drops[c];
-    total.migrated_in += es.migrated_in;
-    total.migrated_out += es.migrated_out;
-    total.backlog += es.backlog;
-    total.max_service_lag =
-        std::max(total.max_service_lag, es.max_service_lag);
-    total.stalls += es.stalls;
-    total.recoveries += es.recoveries;
-    if (es.last_stall_stage != StallStage::kNone)
-      total.last_stall_stage = es.last_stall_stage;
-    total.overload_state = std::max(total.overload_state, es.overload_state);
-  }
+  for (std::size_t e = 0; e < epochs; ++e) total += s.epochs[e]->stats();
   return total;
 }
 

@@ -172,13 +172,11 @@ class ShardedEngine : public IngressTarget {
   Time now() const override { return live(0).now(); }
   std::size_t producers() const override { return opts_.engine.producers; }
 
-  // Summed ledger across shards AND engine epochs (a restarted shard's
-  // retired epoch keeps its frozen ledger). Exact after stop(): every
-  // identity the single-engine EngineStats documents holds for the sums
-  // because each epoch's ledger is exact, every offer lands on exactly one
-  // engine, and migrated_in == migrated_out once all migrations settled.
-  // max_service_lag is the max, overload_state the max, last_stall_stage
-  // the most recent shard diagnosis.
+  // Ledger summed (EngineStats::operator+=) across shards AND engine epochs
+  // (a restarted shard's retired epoch keeps its frozen ledger). Exact after
+  // stop(): the sum passes EngineStats::check(offers) because each epoch's
+  // ledger is exact, every offer lands on exactly one engine, and
+  // migrated_in == migrated_out once all migrations settled.
   EngineStats stats() const;
   EngineStats shard_stats(std::size_t k) const;
 

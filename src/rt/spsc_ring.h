@@ -91,6 +91,9 @@ class SpscRing {
   }
   bool empty() const { return size() == 0; }
 
+  // Any thread: elements pushed so far (the free-running producer index).
+  uint64_t pushed() const { return tail_.load(std::memory_order_relaxed); }
+
  private:
   std::vector<T> slots_;
   std::size_t mask_ = 0;

@@ -9,6 +9,7 @@
 
 #include <chrono>
 #include <memory>
+#include <optional>
 #include <thread>
 #include <vector>
 
@@ -471,6 +472,137 @@ TEST(RtEngine, StatsThreadPublishesOverHttp) {
   const tel::TelemetrySnapshot snap = plane.snapshot();
   EXPECT_EQ(snap.counter_total(tel::CounterId::kTransmitted), 50u);
   EXPECT_EQ(snap.gauge(tel::GaugeId::kBacklogPackets, 0), 0.0);
+}
+
+// A ledger that balances with 100 offers: 9 pre-enqueue drops (unknown flow,
+// buffer limit, shed), 5 post-enqueue drops (pushout, flow removed) and a
+// settled migration of 5 packets.
+EngineStats balanced_ledger() {
+  EngineStats s;
+  s.ingress_pushed = 90;
+  s.ingress_drops = 10;
+  s.migrated_in = 5;
+  s.accepted = 80;
+  s.drops[static_cast<std::size_t>(obs::DropCause::kUnknownFlow)] = 3;
+  s.drops[static_cast<std::size_t>(obs::DropCause::kBufferLimit)] = 4;
+  s.drops[static_cast<std::size_t>(obs::DropCause::kShed)] = 2;
+  s.abandoned = 6;
+  s.transmitted = 60;
+  s.backlog = 10;
+  s.drops[static_cast<std::size_t>(obs::DropCause::kPushout)] = 4;
+  s.drops[static_cast<std::size_t>(obs::DropCause::kFlowRemoved)] = 1;
+  s.migrated_out = 5;
+  return s;
+}
+
+void expect_break(const std::optional<LedgerBreak>& b, const char* identity,
+                  uint64_t lhs, uint64_t rhs, const char* text) {
+  ASSERT_TRUE(b.has_value()) << identity;
+  EXPECT_STREQ(b->identity, identity);
+  EXPECT_EQ(b->lhs, lhs);
+  EXPECT_EQ(b->rhs, rhs);
+  EXPECT_EQ(to_string(*b), text);
+}
+
+TEST(EngineLedger, CheckNamesEachBrokenIdentity) {
+  const EngineStats ok = balanced_ledger();
+  EXPECT_FALSE(ok.check().has_value());
+  EXPECT_FALSE(ok.check(100).has_value());
+
+  // Offers: only checked when the caller knows them.
+  expect_break(ok.check(101), "offers == ingress_pushed + ingress_drops", 101,
+               100, "offers == ingress_pushed + ingress_drops (101 != 100)");
+
+  EngineStats s = balanced_ledger();
+  s.abandoned = 7;
+  for (const std::optional<uint64_t> offers : {std::optional<uint64_t>{},
+                                               std::optional<uint64_t>{100}})
+    expect_break(s.check(offers),
+                 "ingress_pushed + migrated_in == accepted + "
+                 "pre_enqueue_drops + abandoned",
+                 95, 96,
+                 "ingress_pushed + migrated_in == accepted + "
+                 "pre_enqueue_drops + abandoned (95 != 96)");
+
+  s = balanced_ledger();
+  s.backlog = 11;
+  for (const std::optional<uint64_t> offers : {std::optional<uint64_t>{},
+                                               std::optional<uint64_t>{100}})
+    expect_break(s.check(offers),
+                 "accepted == transmitted + backlog + post_enqueue_drops + "
+                 "migrated_out",
+                 80, 81,
+                 "accepted == transmitted + backlog + post_enqueue_drops + "
+                 "migrated_out (80 != 81)");
+
+  // An unsettled migration balances each engine; only the sum over all of
+  // them (the offers form) can see it.
+  s = balanced_ledger();
+  s.migrated_in = 6;
+  s.ingress_pushed = 89;
+  s.ingress_drops = 11;
+  EXPECT_FALSE(s.check().has_value());
+  expect_break(s.check(100), "migrated_in == migrated_out (settled failovers)",
+               6, 5, "migrated_in == migrated_out (settled failovers) (6 != 5)");
+}
+
+TEST(EngineLedger, SumAddsCountersAndMaxesLevels) {
+  EngineStats a;
+  a.ingress_pushed = 1;
+  a.ingress_drops = 2;
+  a.accepted = 3;
+  a.transmitted = 4;
+  a.tx_bits = 5.0;
+  a.abandoned = 6;
+  for (std::size_t c = 0; c < obs::kDropCauseCount; ++c) a.drops[c] = 10 + c;
+  a.migrated_in = 7;
+  a.migrated_out = 8;
+  a.backlog = 9;
+  a.max_service_lag = 0.5;
+  a.stalls = 11;
+  a.recoveries = 12;
+  a.last_stall_stage = StallStage::kDrain;
+  a.overload_state = 2;
+
+  EngineStats b;
+  b.ingress_pushed = 100;
+  b.ingress_drops = 200;
+  b.accepted = 300;
+  b.transmitted = 400;
+  b.tx_bits = 500.0;
+  b.abandoned = 600;
+  for (std::size_t c = 0; c < obs::kDropCauseCount; ++c) b.drops[c] = 1000 * c;
+  b.migrated_in = 700;
+  b.migrated_out = 800;
+  b.backlog = 900;
+  b.max_service_lag = 0.25;
+  b.stalls = 1100;
+  b.recoveries = 1200;
+  b.last_stall_stage = StallStage::kTransmit;
+  b.overload_state = 1;
+
+  EngineStats sum = a;
+  sum += b;
+  EXPECT_EQ(sum.ingress_pushed, 101u);
+  EXPECT_EQ(sum.ingress_drops, 202u);
+  EXPECT_EQ(sum.accepted, 303u);
+  EXPECT_EQ(sum.transmitted, 404u);
+  EXPECT_DOUBLE_EQ(sum.tx_bits, 505.0);
+  EXPECT_EQ(sum.abandoned, 606u);
+  for (std::size_t c = 0; c < obs::kDropCauseCount; ++c)
+    EXPECT_EQ(sum.drops[c], 10 + c + 1000 * c) << c;
+  EXPECT_EQ(sum.migrated_in, 707u);
+  EXPECT_EQ(sum.migrated_out, 808u);
+  EXPECT_EQ(sum.backlog, 909u);
+  EXPECT_DOUBLE_EQ(sum.max_service_lag, 0.5);  // max, not sum
+  EXPECT_EQ(sum.stalls, 1111u);
+  EXPECT_EQ(sum.recoveries, 1212u);
+  EXPECT_EQ(sum.last_stall_stage, StallStage::kTransmit);  // latest diagnosis
+  EXPECT_EQ(sum.overload_state, 2);                        // max, not sum
+
+  // A ledger that never stalled keeps the diagnosis already summed.
+  sum += EngineStats{};
+  EXPECT_EQ(sum.last_stall_stage, StallStage::kTransmit);
 }
 
 }  // namespace

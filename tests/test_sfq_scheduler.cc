@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <ostream>
 #include <vector>
 
 #include "core/sfq_scheduler.h"
@@ -250,16 +251,22 @@ std::unique_ptr<net::RateProfile> step_profile() {
           {0.0, 1000.0}, {2.0, 200.0}, {5.0, 1500.0}});
 }
 
-class SfqFairnessOverServers
-    : public ::testing::TestWithParam<
-          std::unique_ptr<net::RateProfile> (*)()> {};
+// A named server profile. The name, not the factory's address, is what the
+// test reports, so test names stay the same from one run to the next.
+struct ServerCase {
+  const char* name;
+  std::unique_ptr<net::RateProfile> (*make)();
+};
+void PrintTo(const ServerCase& c, std::ostream* os) { *os << c.name; }
+
+class SfqFairnessOverServers : public ::testing::TestWithParam<ServerCase> {};
 
 TEST_P(SfqFairnessOverServers, TheoremOneHoldsOnAnyServer) {
   SfqScheduler s;
   const double w0 = 100.0, w1 = 300.0;
   const double l0 = 40.0, l1 = 64.0;
   auto r = test::run_workload(
-      s, GetParam()(),
+      s, GetParam().make(),
       {{w0, l0, test::Kind::kGreedy}, {w1, l1, test::Kind::kGreedy}}, 8.0);
 
   const double h = stats::empirical_fairness(r->recorder, r->ids[0], w0,
@@ -271,9 +278,12 @@ TEST_P(SfqFairnessOverServers, TheoremOneHoldsOnAnyServer) {
   EXPECT_GT(r->recorder.served_bits(r->ids[1]), 0.0);
 }
 
-INSTANTIATE_TEST_SUITE_P(Profiles, SfqFairnessOverServers,
-                         ::testing::Values(&constant_profile, &fc_profile,
-                                           &ebf_profile, &step_profile));
+INSTANTIATE_TEST_SUITE_P(
+    Profiles, SfqFairnessOverServers,
+    ::testing::Values(ServerCase{"constant", &constant_profile},
+                      ServerCase{"fc", &fc_profile},
+                      ServerCase{"ebf", &ebf_profile},
+                      ServerCase{"step", &step_profile}));
 
 // Randomized many-flow fairness sweep.
 class SfqFairnessRandom : public ::testing::TestWithParam<uint64_t> {};
