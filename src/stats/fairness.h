@@ -15,6 +15,10 @@ namespace sfq::stats {
 // sequence; the maximum over all runs inside a co-backlogged window is a
 // maximum-absolute-subarray-sum over per-packet values (+l/r_f for f's
 // packets, -l/r_m for m's, 0 for others), solved exactly with Kadane's scan.
+// A 0 step never changes the maxima Kadane reports, so the scan walks only
+// the merge of f's and m's per-flow transmission lists, window by window:
+// O(n_f + n_m + I) per pair, O(F*N + F*I) over all pairs of F flows, for N
+// transmissions and I backlog intervals.
 double empirical_fairness(const ServiceRecorder& rec, FlowId f, double rf,
                           FlowId m, double rm);
 

@@ -1,5 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <cstdint>
+#include <random>
+#include <vector>
+
 #include "stats/delay_stats.h"
 #include "stats/fairness.h"
 #include "stats/service_recorder.h"
@@ -55,6 +61,19 @@ TEST(ServiceRecorder, FinishClosesOpenIntervals) {
 TEST(ServiceRecorder, ServiceWithoutArrivalThrows) {
   ServiceRecorder rec;
   EXPECT_THROW(rec.on_service(0, 1.0, 0.0, 0.0, 1.0), std::logic_error);
+}
+
+// One server: a transmission may not start before the previous one ended,
+// nor end before it starts. Back to back is fine.
+TEST(ServiceRecorder, ServiceOutOfOrderThrows) {
+  ServiceRecorder rec;
+  for (int i = 0; i < 4; ++i) rec.on_arrival(i % 2, 0.0);
+  rec.on_service(0, 1.0, 0.0, 0.0, 1.0);
+  EXPECT_THROW(rec.on_service(1, 1.0, 0.0, 0.5, 1.5), std::logic_error);
+  EXPECT_THROW(rec.on_service(1, 1.0, 0.0, 2.0, 1.5), std::logic_error);
+  rec.on_service(1, 1.0, 0.0, 1.0, 2.0);
+  EXPECT_EQ(rec.transmissions().size(), 2u);
+  EXPECT_EQ(rec.served_packets(1), 1u);
 }
 
 // --- empirical_fairness --------------------------------------------------------
@@ -134,6 +153,171 @@ TEST(Fairness, WeightsNormalizeService) {
   rec.finish(t + 2.0);
   const double h = empirical_fairness(rec, 0, 1.0, 1, 3.0);
   EXPECT_LE(h, 1.0 + 1.0 / 3.0 + 1e-12);
+}
+
+// --- Differential: indexed scan vs the full-sequence Kadane --------------------
+
+// A seeded single-server record: 3-6 flows with unequal packet sizes, a
+// discipline that picks a random backlogged flow (so runs get one-sided),
+// arrivals during other flows' transmissions (windows open mid-packet),
+// idle gaps with and without backlog, and flows still queued at the end.
+struct RandomRecord {
+  ServiceRecorder rec;
+  std::vector<double> weight;
+};
+
+RandomRecord random_record(uint64_t seed, int packets) {
+  std::mt19937_64 rng(seed);
+  std::uniform_real_distribution<double> u(0.0, 1.0);
+  RandomRecord r;
+  const int flows = 3 + static_cast<int>(rng() % 4);
+  std::vector<double> size(flows);
+  for (int f = 0; f < flows; ++f) {
+    r.weight.push_back(0.25 + 4.0 * u(rng));
+    size[f] = 8.0 * (64 + static_cast<int>(rng() % 1437));
+  }
+  std::vector<int> queued(flows, 0);
+  auto arrive = [&](int f, Time t) {
+    r.rec.on_arrival(f, t);
+    ++queued[f];
+  };
+  Time t = 0.0;
+  for (int n = 0; n < packets; ++n) {
+    std::vector<int> ready;
+    for (int f = 0; f < flows; ++f)
+      if (queued[f] > 0) ready.push_back(f);
+    if (ready.empty() || u(rng) < 0.05) {
+      t += 1e-3 * u(rng);  // idle gap
+      const int f = static_cast<int>(rng() % flows);
+      arrive(f, t);
+      if (ready.empty()) ready.push_back(f);
+    }
+    const int g = ready[rng() % ready.size()];
+    const double bits = size[g] * (0.5 + 0.5 * u(rng));
+    const Time start = t, end = start + bits / 1e6;
+    for (int f = 0; f < flows; ++f) {
+      const double p = u(rng);
+      if (p < 0.15) arrive(f, start + (end - start) * u(rng));
+      else if (p < 0.2) arrive(f, start);
+    }
+    r.rec.on_service(g, bits, start, start, end);
+    --queued[g];
+    t = end;
+  }
+  r.rec.finish(t);
+  return r;
+}
+
+// The original O(N) scan: Kadane over every transmission of the record
+// inside each co-backlogged window, 0 for other flows' packets.
+double full_scan_fairness(const ServiceRecorder& rec, FlowId f, double rf,
+                          FlowId m, double rm) {
+  const auto& a = rec.backlog_intervals(f);
+  const auto& b = rec.backlog_intervals(m);
+  std::vector<ServiceRecorder::Interval> windows;
+  for (std::size_t i = 0, j = 0; i < a.size() && j < b.size();) {
+    const Time lo = std::max(a[i].begin, b[j].begin);
+    const Time hi = std::min(a[i].end, b[j].end);
+    if (hi > lo) windows.push_back({lo, hi});
+    if (a[i].end < b[j].end) ++i; else ++j;
+  }
+  const auto& tx = rec.transmissions();
+  double h = 0.0;
+  std::size_t k = 0;
+  for (const auto& w : windows) {
+    while (k < tx.size() && tx[k].start < w.begin) ++k;
+    double best_hi = 0.0, run_hi = 0.0;
+    double best_lo = 0.0, run_lo = 0.0;
+    for (std::size_t i = k; i < tx.size() && tx[i].end <= w.end; ++i) {
+      double v = 0.0;
+      if (tx[i].flow == f) v = tx[i].bits / rf;
+      else if (tx[i].flow == m) v = -tx[i].bits / rm;
+      run_hi = std::max(run_hi + v, v);
+      best_hi = std::max(best_hi, run_hi);
+      run_lo = std::min(run_lo + v, v);
+      best_lo = std::min(best_lo, run_lo);
+    }
+    h = std::max({h, best_hi, -best_lo});
+  }
+  return h;
+}
+
+// The §1.2 definition by brute force: every [t1, t2] with t1 a packet start
+// and t2 a packet end, both flows backlogged throughout, whole packets only.
+double brute_force_fairness(const ServiceRecorder& rec, FlowId f, double rf,
+                            FlowId m, double rm) {
+  const auto& tx = rec.transmissions();
+  double h = 0.0;
+  for (const auto& first : tx)
+    for (const auto& last : tx) {
+      const Time t1 = first.start, t2 = last.end;
+      if (t2 <= t1 || !rec.backlogged_throughout(f, t1, t2) ||
+          !rec.backlogged_throughout(m, t1, t2))
+        continue;
+      double wf = 0.0, wm = 0.0;
+      for (const auto& x : tx)
+        if (x.start >= t1 && x.end <= t2) {
+          if (x.flow == f) wf += x.bits;
+          if (x.flow == m) wm += x.bits;
+        }
+      h = std::max(h, std::abs(wf / rf - wm / rm));
+    }
+  return h;
+}
+
+TEST(Fairness, IndexedScanIsBitEqualToFullScan) {
+  for (uint64_t seed = 1; seed <= 40; ++seed) {
+    const RandomRecord r = random_record(seed, 600);
+    const FlowId flows = static_cast<FlowId>(r.weight.size());
+    for (FlowId f = 0; f <= flows; ++f)  // flow id `flows` never sent
+      for (FlowId m = 0; m <= flows; ++m) {
+        const double rf = f < flows ? r.weight[f] : 1.0;
+        const double rm = m < flows ? r.weight[m] : 1.0;
+        EXPECT_EQ(empirical_fairness(r.rec, f, rf, m, rm),
+                  full_scan_fairness(r.rec, f, rf, m, rm))
+            << "seed " << seed << " pair " << f << "," << m;
+      }
+  }
+}
+
+TEST(Fairness, IndexedScanMatchesTheDefinition) {
+  for (uint64_t seed = 1; seed <= 10; ++seed) {
+    const RandomRecord r = random_record(seed, 120);
+    const FlowId flows = static_cast<FlowId>(r.weight.size());
+    for (FlowId f = 0; f < flows; ++f)
+      for (FlowId m = f + 1; m < flows; ++m) {
+        const double h = empirical_fairness(r.rec, f, r.weight[f], m, r.weight[m]);
+        EXPECT_NEAR(h, brute_force_fairness(r.rec, f, r.weight[f], m, r.weight[m]),
+                    1e-9 * std::max(1.0, h))
+            << "seed " << seed << " pair " << f << "," << m;
+      }
+  }
+}
+
+// Per-flow queries answered from the index equal the full walks, bit for bit.
+TEST(ServiceRecorder, IndexedQueriesMatchFullWalk) {
+  const RandomRecord r = random_record(7, 600);
+  const auto& tx = r.rec.transmissions();
+  std::uniform_real_distribution<double> u(0.0, tx.back().end);
+  std::mt19937_64 rng(7);
+  for (FlowId f = 0; f <= r.weight.size(); ++f) {
+    double all = 0.0;
+    uint64_t n = 0;
+    for (const auto& x : tx)
+      if (x.flow == f) all += x.bits, ++n;
+    EXPECT_EQ(r.rec.served_bits(f), all);
+    EXPECT_EQ(r.rec.served_packets(f), n);
+    for (int q = 0; q < 50; ++q) {
+      Time t1 = u(rng), t2 = u(rng);
+      if (t2 < t1) std::swap(t1, t2);
+      if (q % 5 == 0) t1 = tx[rng() % tx.size()].start;  // on packet edges
+      if (q % 5 == 1) t2 = tx[rng() % tx.size()].end;
+      double w = 0.0;
+      for (const auto& x : tx)
+        if (x.flow == f && x.start >= t1 && x.end <= t2) w += x.bits;
+      EXPECT_EQ(r.rec.served_bits(f, t1, t2), w) << f << " " << t1 << " " << t2;
+    }
+  }
 }
 
 TEST(Fairness, BoundsHelpers) {
