@@ -4,9 +4,13 @@
 // for keeping the substrate fast enough that 1000-second Figure-2(b)-style
 // runs stay interactive.
 //
-// Two parts:
+// Three parts:
 //   * BM_Stack_* google-benchmarks: whole-run throughput including stack
 //     construction, swept over flow counts and disciplines.
+//   * BM_Fairness_* google-benchmarks: the all-pairs Theorem-1 measurement
+//     run_experiment makes at its end, as one service-order pass
+//     (AllPairs) and as one empirical_fairness scan per pair (PairLoop), on
+//     one recorded first hop; items/s is transmissions per second.
 //   * A steady-state phase with the allocation guard (alloc_guard.h) armed:
 //     after a warm-up that brings every slab/pool/heap to its high-water
 //     mark, the measured window must perform ZERO heap allocations — the
@@ -21,6 +25,7 @@
 //     SFQ/4 baseline, bench/baselines/), SFQ/4 pkts/s >= 1.5x it.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -33,6 +38,8 @@
 #include "net/rate_profile.h"
 #include "net/scheduled_server.h"
 #include "sim/simulator.h"
+#include "stats/fairness.h"
+#include "stats/service_recorder.h"
 #include "traffic/sources.h"
 
 namespace {
@@ -74,6 +81,81 @@ void BM_Stack_FIFO(benchmark::State& s) { run_stack(s, "FIFO"); }
 BENCHMARK(BM_Stack_SFQ)->Arg(4)->Arg(64);
 BENCHMARK(BM_Stack_WFQ)->Arg(4)->Arg(64);
 BENCHMARK(BM_Stack_FIFO)->Arg(4)->Arg(64);
+
+// The fairness benches' input: SFQ at 100 Mb/s for 2 simulated seconds,
+// 64 flows at 0.9 load mixing CBR, Poisson and on-off sources with
+// 64/576/1500-byte packets, weighted by their average rates.
+struct RecordedHop {
+  stats::ServiceRecorder rec;
+  std::vector<FlowId> flows;
+  std::vector<double> rates;
+};
+
+const RecordedHop& recorded_hop() {
+  static const RecordedHop hop = [] {
+    constexpr int kFlows = 64;
+    constexpr double kLink = 100e6;
+    constexpr double kBytes[] = {64, 576, 1500};
+    RecordedHop h;
+    sim::Simulator sim;
+    auto sched = bench::make_scheduler("SFQ", kLink);
+    net::ScheduledServer server(sim, *sched,
+                                std::make_unique<net::ConstantRate>(kLink));
+    server.set_recorder(&h.rec);
+    auto emit = [&](Packet p) { server.inject(std::move(p)); };
+    std::vector<std::unique_ptr<traffic::Source>> src;
+    for (int i = 0; i < kFlows; ++i) {
+      const double rate = 0.9 * kLink / kFlows;
+      const double bits = 8.0 * kBytes[(i / 3) % 3];
+      const FlowId id = sched->add_flow(rate, bits);
+      h.flows.push_back(id);
+      h.rates.push_back(rate);
+      if (i % 3 == 0)
+        src.push_back(
+            std::make_unique<traffic::CbrSource>(sim, id, emit, rate, bits));
+      else if (i % 3 == 1)
+        src.push_back(std::make_unique<traffic::PoissonSource>(
+            sim, id, emit, rate, bits, 11 + i));
+      else
+        src.push_back(std::make_unique<traffic::OnOffSource>(
+            sim, id, emit, 2.0 * rate, bits, 0.05, 0.05, 11 + i));
+      src.back()->run(0.0, 2.0);
+    }
+    sim.run_until(2.0);
+    h.rec.finish(2.0);
+    return h;
+  }();
+  return hop;
+}
+
+void BM_Fairness_AllPairs(benchmark::State& state) {
+  const RecordedHop& hop = recorded_hop();
+  for (auto _ : state) {
+    auto h = stats::all_pairs_fairness(hop.rec, hop.flows, hop.rates);
+    benchmark::DoNotOptimize(h.h.data());
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(
+      state.iterations() * hop.rec.transmissions().size()));
+}
+
+void BM_Fairness_PairLoop(benchmark::State& state) {
+  const RecordedHop& hop = recorded_hop();
+  const std::size_t n = hop.flows.size();
+  for (auto _ : state) {
+    double worst = 0.0;
+    for (std::size_t i = 0; i < n; ++i)
+      for (std::size_t j = i + 1; j < n; ++j)
+        worst = std::max(worst, stats::empirical_fairness(
+                                    hop.rec, hop.flows[i], hop.rates[i],
+                                    hop.flows[j], hop.rates[j]));
+    benchmark::DoNotOptimize(worst);
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(
+      state.iterations() * hop.rec.transmissions().size()));
+}
+
+BENCHMARK(BM_Fairness_AllPairs)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_Fairness_PairLoop)->Unit(benchmark::kMillisecond);
 
 double env_double(const char* name, double fallback) {
   const char* v = std::getenv(name);

@@ -818,11 +818,12 @@ ExperimentResult run_experiment(const ExperimentSpec& spec,
     result.flows.push_back(std::move(fr));
   }
   // Fairness evaluated at the first (usually bottleneck-shared) hop.
+  std::vector<double> rates;
+  for (const FlowSpec& f : spec.flows) rates.push_back(f.weight);
+  const stats::FairnessTriangle h =
+      stats::all_pairs_fairness(*recorder, ids, rates);
   for (std::size_t i = 0; i < ids.size(); ++i) {
     for (std::size_t j = i + 1; j < ids.size(); ++j) {
-      const double h = stats::empirical_fairness(
-          *recorder, ids[i], spec.flows[i].weight, ids[j],
-          spec.flows[j].weight);
       // Theorem-1 bound, plus the derived 2*quantum quantization slack when
       // the wheel core ran (docs/PERFORMANCE.md, "Quantization slack").
       const double bound = stats::sfq_fairness_bound(
@@ -832,7 +833,7 @@ ExperimentResult run_experiment(const ExperimentSpec& spec,
                                spec.flows[j].weight) +
                            2.0 * qwindow;
       result.worst_fairness_ratio =
-          std::max(result.worst_fairness_ratio, h / bound);
+          std::max(result.worst_fairness_ratio, h.at(i, j) / bound);
     }
   }
   result.quantization_window = qwindow;

@@ -34,12 +34,17 @@ Time DelayStats::max(FlowId f) const {
 Time DelayStats::percentile(FlowId f, double p) const {
   if (count(f) == 0) return 0.0;
   std::vector<Time> v = samples_[f];
-  std::sort(v.begin(), v.end());
   const double idx = (p / 100.0) * static_cast<double>(v.size() - 1);
   const std::size_t lo = static_cast<std::size_t>(std::floor(idx));
-  const std::size_t hi = std::min(lo + 1, v.size() - 1);
   const double frac = idx - static_cast<double>(lo);
-  return v[lo] * (1.0 - frac) + v[hi] * frac;
+  // The lo-th and (lo+1)-th order statistics, without a full sort: after
+  // nth_element nothing behind v[lo] is smaller, so the next one is the
+  // minimum of the rest.
+  const auto nth = v.begin() + static_cast<std::ptrdiff_t>(lo);
+  std::nth_element(v.begin(), nth, v.end());
+  const Time next =
+      nth + 1 < v.end() ? *std::min_element(nth + 1, v.end()) : *nth;
+  return *nth * (1.0 - frac) + next * frac;
 }
 
 double DelayStats::mean_over(const std::vector<FlowId>& fs) const {

@@ -1,5 +1,9 @@
 #pragma once
 
+#include <cstddef>
+#include <span>
+#include <vector>
+
 #include "core/types.h"
 #include "stats/service_recorder.h"
 
@@ -17,10 +21,36 @@ namespace sfq::stats {
 // packets, -l/r_m for m's, 0 for others), solved exactly with Kadane's scan.
 // A 0 step never changes the maxima Kadane reports, so the scan walks only
 // the merge of f's and m's per-flow transmission lists, window by window:
-// O(n_f + n_m + I) per pair, O(F*N + F*I) over all pairs of F flows, for N
-// transmissions and I backlog intervals.
+// O(n_f + n_m + I) for one pair, for I backlog intervals.
 double empirical_fairness(const ServiceRecorder& rec, FlowId f, double rf,
                           FlowId m, double rm);
+
+// H for every pair i < j of a flow list, row-major upper triangle.
+struct FairnessTriangle {
+  std::size_t flows = 0;
+  std::vector<double> h;  // flows * (flows - 1) / 2 entries
+  std::size_t index(std::size_t i, std::size_t j) const {  // i < j < flows
+    return i * (2 * flows - i - 1) / 2 + j - i - 1;
+  }
+  double at(std::size_t i, std::size_t j) const { return h[index(i, j)]; }
+};
+
+// empirical_fairness for every pair of `flows` (rates[i] is flows[i]'s), in
+// one pass over the transmissions in service order. A listed flow is active
+// while its current backlog interval covers the packet being served; each
+// packet of an active flow g is one Kadane step of every pair (g, m) with m
+// active, and a pair's run restarts when either flow's interval changes.
+// Steps of different pairs are independent, and each pair sees exactly the
+// values, in exactly the order, of its own scan, so every entry is
+// bit-identical to empirical_fairness in either orientation (for records
+// whose packets of nonzero length take nonzero time, as every server's do).
+// O(N·(A + F/64) + I·log I + F²) for N transmissions, I backlog intervals of
+// the F listed flows and A of them backlogged at once, against O(F·N + F·I)
+// for the F²/2 single-pair scans. Throws std::invalid_argument on a repeated
+// flow or a rate count that differs from the flow count.
+FairnessTriangle all_pairs_fairness(const ServiceRecorder& rec,
+                                    std::span<const FlowId> flows,
+                                    std::span<const double> rates);
 
 // Theoretical SFQ/SCFQ fairness bound of Theorem 1:
 // l_f^max/r_f + l_m^max/r_m.

@@ -129,6 +129,38 @@ TEST(CalendarQueue, ReanchorsAfterGoingEmpty) {
   EXPECT_EQ(take(q), 3u);
 }
 
+TEST(CalendarQueue, CursorDigitAtTheLastSlotOfALevel) {
+  // Level-0 page drained with the cursor's level-1 digit at kSlots - 1: the
+  // next minimum sits above it (level 2), so finding it asks level 1 for the
+  // first slot past its last one, which must be "none", not a read past
+  // that level's bitmap row.
+  static_assert(CalendarQueue::kSlots == 256);
+  CalendarQueue q(1.0);
+  q.push(0, 0xFF00);       // anchors the cursor: level-1 digit 255
+  q.push(1, 0xFF00 + 7);
+  q.push(2, 0x10000 + 5);  // level 2
+  q.push(3, 0x10000 + 3);
+  EXPECT_EQ(take(q), 0u);
+  EXPECT_EQ(take(q), 1u);  // cursor 0xFF07: level 0 now empty
+  EXPECT_EQ(take(q), 3u);
+  EXPECT_EQ(take(q), 2u);
+  EXPECT_TRUE(q.empty());
+
+  // Same at the top level (digit 255 of level 3), with the live entries in
+  // the overflow heap beyond the wheel's 2^32-tick horizon.
+  CalendarQueue top(1.0);
+  top.push(0, 0xFF000000);
+  top.push(1, 0xFF000000 + 9.0);
+  top.push(2, 0x100000000 + 5.0);
+  top.push(3, 0x100000000 + 2.0);
+  EXPECT_EQ(top.overflow_size(), 2u);
+  EXPECT_EQ(take(top), 0u);
+  EXPECT_EQ(take(top), 1u);
+  EXPECT_EQ(take(top), 3u);
+  EXPECT_EQ(take(top), 2u);
+  EXPECT_TRUE(top.empty());
+}
+
 // The core contract: the wheel is an exact priority queue over
 // (quantized tick, admission order). Random mixed workload obeying the
 // monotone insert contract (tags never fall below the cursor — the SFQ

@@ -1,8 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <sstream>
+#include <string>
 
 #include "config/experiment.h"
+#include "core/scheduler_factory.h"
+#include "obs/trace.h"
+#include "stats/fairness.h"
+#include "stats/service_recorder.h"
 
 namespace sfq::config {
 namespace {
@@ -192,6 +198,71 @@ flow name=b kind=onoff rate=800Kbps packet=750B weight=400Kbps seed=43
     EXPECT_DOUBLE_EQ(r1.flows[i].max_delay, r2.flows[i].max_delay);
   }
   EXPECT_DOUBLE_EQ(r1.worst_fairness_ratio, r2.worst_fairness_ratio);
+}
+
+// Rebuilds the first hop's ServiceRecorder from its trace events.
+class RecorderSink final : public obs::TraceSink {
+ public:
+  void on_event(const obs::TraceEvent& e) override {
+    using T = obs::TraceEventType;
+    if (e.type == T::kEnqueue) rec.on_arrival(e.flow, e.t);
+    else if (e.type == T::kTxStart) start_ = e.t;
+    else if (e.type == T::kTxEnd)
+      rec.on_service(e.flow, e.length_bits, e.arrival, start_, e.t);
+  }
+  stats::ServiceRecorder rec;
+
+ private:
+  Time start_ = 0.0;
+};
+
+// run_experiment's worst_fairness_ratio equals, bit for bit, the pairwise
+// loop over empirical_fairness with the Theorem-1 bound (plus the 2*quantum
+// slack under SFQ-W) on the first hop's record.
+TEST(ExperimentRun, WorstFairnessRatioEqualsThePerPairLoop) {
+  const std::string flows = R"(
+duration 3s
+flow name=a kind=poisson rate=250Kbps packet=500B seed=1
+flow name=b kind=cbr rate=150Kbps packet=200B weight=100Kbps
+flow name=c kind=onoff rate=400Kbps packet=1000B weight=200Kbps seed=2
+flow name=d kind=greedy packet=1500B weight=300Kbps
+flow name=e kind=poisson rate=100Kbps packet=64B seed=3
+flow name=f kind=cbr rate=120Kbps packet=576B start=0.5s stop=2s
+)";
+  const std::string one_hop = "link rate=1Mbps\n";
+  const std::string three_hops =
+      "link rate=1Mbps prop=1ms\nlink rate=2Mbps prop=1ms\nlink rate=1Mbps\n";
+  for (const std::string& conf :
+       {"scheduler SFQ\n" + one_hop + flows,
+        "scheduler SFQ\n" + three_hops + flows,
+        "scheduler SFQ-W\n" + one_hop + flows}) {
+    std::istringstream in(conf);
+    const ExperimentSpec spec = ExperimentSpec::parse(in);
+    RecorderSink sink;
+    const ExperimentResult res = run_experiment(spec, &sink);
+    sink.rec.finish(spec.duration);
+    SchedulerOptions opts;
+    opts.assumed_capacity = spec.link_rate();
+    opts.sfq_wheel_quantum = sfq_wheel_quantum(spec);
+    const std::vector<FlowId> ids =
+        build_experiment_scheduler(spec, opts).flow_ids;
+    EXPECT_EQ(res.quantization_window > 0.0, spec.scheduler == "SFQ-W");
+    double worst = 0.0;
+    for (std::size_t i = 0; i < ids.size(); ++i)
+      for (std::size_t j = i + 1; j < ids.size(); ++j) {
+        const FlowSpec& a = spec.flows[i];
+        const FlowSpec& b = spec.flows[j];
+        const double h = stats::empirical_fairness(sink.rec, ids[i], a.weight,
+                                                   ids[j], b.weight);
+        const double bound =
+            stats::sfq_fairness_bound(std::max(a.packet, 1.0), a.weight,
+                                      std::max(b.packet, 1.0), b.weight) +
+            2.0 * res.quantization_window;
+        worst = std::max(worst, h / bound);
+      }
+    EXPECT_GT(worst, 0.0) << conf;
+    EXPECT_EQ(res.worst_fairness_ratio, worst) << conf;
+  }
 }
 
 TEST(ExperimentRun, VbrFlowWorks) {

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdint>
 #include <random>
+#include <stdexcept>
 #include <vector>
 
 #include "stats/delay_stats.h"
@@ -294,6 +295,48 @@ TEST(Fairness, IndexedScanMatchesTheDefinition) {
   }
 }
 
+// The one-pass all-pairs table equals the single-pair scan, bit for bit, in
+// both orientations. The listed flows are a shuffled subset: ids do not match
+// positions, one sending flow is left out (its packets are third-party
+// traffic), and one listed flow never sent anything.
+TEST(Fairness, AllPairsIsBitEqualToPerPair) {
+  for (uint64_t seed = 1; seed <= 40; ++seed) {
+    const RandomRecord r = random_record(seed, 600);
+    const FlowId sent = static_cast<FlowId>(r.weight.size());
+    std::mt19937_64 rng(seed);
+    std::vector<FlowId> flows;
+    for (FlowId f = 0; f < sent; ++f) flows.push_back(f);
+    std::shuffle(flows.begin(), flows.end(), rng);
+    flows.pop_back();
+    flows.insert(flows.begin() + static_cast<std::ptrdiff_t>(rng() % flows.size()),
+                 sent + 2);
+    std::vector<double> rates;
+    for (FlowId f : flows) rates.push_back(f < sent ? r.weight[f] : 1.5);
+    const FairnessTriangle t = all_pairs_fairness(r.rec, flows, rates);
+    ASSERT_EQ(t.flows, flows.size());
+    ASSERT_EQ(t.h.size(), flows.size() * (flows.size() - 1) / 2);
+    for (std::size_t i = 0; i < flows.size(); ++i)
+      for (std::size_t j = i + 1; j < flows.size(); ++j) {
+        EXPECT_EQ(t.at(i, j), empirical_fairness(r.rec, flows[i], rates[i],
+                                                 flows[j], rates[j]))
+            << "seed " << seed << " pair " << flows[i] << "," << flows[j];
+        EXPECT_EQ(t.at(i, j), empirical_fairness(r.rec, flows[j], rates[j],
+                                                 flows[i], rates[i]))
+            << "seed " << seed << " pair " << flows[j] << "," << flows[i];
+      }
+  }
+}
+
+TEST(Fairness, AllPairsRejectsRepeatedFlowsAndMismatchedRates) {
+  const RandomRecord r = random_record(3, 100);
+  const std::vector<FlowId> twice = {0, 2, 1, 2};
+  const std::vector<double> four = {1.0, 1.0, 1.0, 1.0};
+  EXPECT_THROW(all_pairs_fairness(r.rec, twice, four), std::invalid_argument);
+  const std::vector<FlowId> three = {0, 1, 2};
+  EXPECT_THROW(all_pairs_fairness(r.rec, three, four), std::invalid_argument);
+  EXPECT_TRUE(all_pairs_fairness(r.rec, {}, {}).h.empty());
+}
+
 // Per-flow queries answered from the index equal the full walks, bit for bit.
 TEST(ServiceRecorder, IndexedQueriesMatchFullWalk) {
   const RandomRecord r = random_record(7, 600);
@@ -335,6 +378,38 @@ TEST(DelayStats, MeanMaxPercentile) {
   EXPECT_DOUBLE_EQ(d.max(0), 1.0);
   EXPECT_NEAR(d.percentile(0, 50), 0.505, 0.01);
   EXPECT_NEAR(d.percentile(0, 99), 1.0, 0.011);
+}
+
+// percentile() selects the two order statistics it interpolates between;
+// the result equals interpolating in the fully sorted samples, bit for bit.
+TEST(DelayStats, PercentileMatchesSortedReference) {
+  auto sorted_percentile = [](std::vector<Time> v, double p) {
+    std::sort(v.begin(), v.end());
+    const double idx = (p / 100.0) * static_cast<double>(v.size() - 1);
+    const std::size_t lo = static_cast<std::size_t>(std::floor(idx));
+    const std::size_t hi = std::min(lo + 1, v.size() - 1);
+    const double frac = idx - static_cast<double>(lo);
+    return v[lo] * (1.0 - frac) + v[hi] * frac;
+  };
+  std::mt19937_64 rng(11);
+  std::uniform_real_distribution<double> u(0.0, 1.0);
+  for (const std::size_t n : {1u, 2u, 1000u}) {
+    for (const bool ties : {false, true}) {
+      DelayStats d;
+      std::vector<Time> v;
+      for (std::size_t k = 0; k < n; ++k) {
+        // With ties: five distinct values, each repeated many times.
+        const Time x = ties ? 1e-3 * static_cast<double>(rng() % 5) : u(rng);
+        d.add(4, x);
+        v.push_back(x);
+      }
+      for (int k = 0; k <= 200; ++k) {  // p = 0, 0.5, ..., 50, ..., 99, 100
+        const double p = 0.5 * k;
+        EXPECT_EQ(d.percentile(4, p), sorted_percentile(v, p))
+            << n << " samples, ties " << ties << ", p " << p;
+      }
+    }
+  }
 }
 
 TEST(DelayStats, AggregatesOverFlows) {
