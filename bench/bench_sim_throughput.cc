@@ -17,6 +17,12 @@
 //     per-packet hot path (typed event queue, packet pool, indexed heaps)
 //     is allocation-free by design (docs/PERFORMANCE.md).
 //
+// A --benchmark_filter that selects google-benchmarks times only those and
+// skips the steady-state phase, so timing one benchmark leaves
+// BENCH_sim_throughput.json alone; a filter that selects none
+// (--benchmark_filter=NONE, as CI and scripts/check.sh run it) runs the
+// steady-state phase alone.
+//
 // The steady-state phase writes BENCH_sim_throughput.json and, with
 // SFQ_PERF_GATE=1, enforces the perf-regression gate:
 //   * steady-state heap allocations == 0,
@@ -301,9 +307,14 @@ int steady_state_phase() {
 }  // namespace
 
 int main(int argc, char** argv) {
+  // Initialize strips the flags it consumes, so look for the filter first.
+  bool filtered = false;
+  for (int i = 1; i < argc; ++i)
+    filtered |= std::string(argv[i]).starts_with("--benchmark_filter");
   ::benchmark::Initialize(&argc, argv);
   if (::benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
-  ::benchmark::RunSpecifiedBenchmarks();
+  const std::size_t ran = ::benchmark::RunSpecifiedBenchmarks();
   ::benchmark::Shutdown();
+  if (filtered && ran > 0) return 0;
   return steady_state_phase();
 }

@@ -53,7 +53,7 @@ int main() {
   for (FlowId f : {a, b, c}) {
     const double bits = recorder.served_bits(f);
     std::printf("%-8s %-7.0f %-11.2f %.3f\n",
-                sched.flows().spec(f).name.c_str(),
+                sched.flows().name(f).c_str(),
                 sched.flows().weight(f) / 1e6, bits / 1e6, bits / total);
   }
 

@@ -39,10 +39,13 @@ FlowId FlowTable::add(double weight, double max_packet_bits, std::string name) {
     id = static_cast<FlowId>(slots_.size());
     slots_.emplace_back();
   }
-  if (name.empty()) name = "flow" + std::to_string(id);
+  if (!name.empty()) {
+    if (id >= names_.size()) names_.resize(id + 1);
+    names_[id] = std::move(name);
+  }
   FlowSpec& s = slots_[id];
-  s = FlowSpec{id, weight, max_packet_bits, /*key=*/0, std::move(name),
-               /*active=*/true, /*has_key=*/false};
+  s = FlowSpec{id, /*active=*/true, /*has_key=*/false, weight,
+               max_packet_bits, /*key=*/0};
   ++live_count_;
   acquire_aggregates(s);
   return id;
@@ -55,13 +58,19 @@ void FlowTable::reclaim(FlowId id) {
   s.id = kInvalidFlow;  // dead-slot marker
   s.active = false;
   s.has_key = false;
-  s.name.clear();
+  if (id < names_.size()) names_[id].clear();
   // Release only after the slot is marked dead: release_aggregates may
   // trigger the periodic exact rebuild, which must not see this slot as a
   // live contributor (it would silently re-add the departing weight).
   if (was_active) release_aggregates(s);
   --live_count_;
   free_list_.push_back(id);
+}
+
+std::string FlowTable::name(FlowId id) const {
+  live_ref(id);
+  if (id < names_.size() && !names_[id].empty()) return names_[id];
+  return "flow" + std::to_string(id);
 }
 
 void FlowTable::set_active(FlowId id, bool active) {
@@ -110,7 +119,7 @@ void FlowTable::bind_key(uint64_t key, FlowId id) {
   if (s.has_key)
     throw std::invalid_argument("FlowTable::bind_key: flow already has a key");
   if (keys_.empty() || (keys_used_ + 1) * 2 > keys_.size())
-    rehash_keys(keys_.empty() ? 16 : keys_.size() * 2);
+    rehash_keys(keys_.empty() ? first_key_capacity_ : keys_.size() * 2);
   std::size_t i = probe_start(key);
   while (keys_[i].id != kInvalidFlow) {
     if (keys_[i].key == key)
@@ -178,7 +187,7 @@ void FlowTable::reserve(std::size_t n) {
   free_list_.reserve(n);
   std::size_t cap = 16;
   while (cap < n * 2) cap <<= 1;
-  if (cap > keys_.size()) rehash_keys(cap);
+  if (cap > first_key_capacity_) first_key_capacity_ = cap;
 }
 
 }  // namespace sfq

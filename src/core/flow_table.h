@@ -8,15 +8,16 @@
 
 namespace sfq {
 
-// Static description of a flow at a server.
+// Static description of a flow at a server: the hot per-flow record, kept to
+// 32 bytes so a million-flow table stays a flat 32 MB array. Names live in a
+// cold side store (FlowTable::name).
 struct FlowSpec {
   FlowId id = kInvalidFlow;     // kInvalidFlow marks a reclaimed (dead) slot
+  bool active = true;           // false while the flow has left (churn)
+  bool has_key = false;
   double weight = 1.0;          // r_f: weight, interpreted as a rate (bits/s)
   double max_packet_bits = 0.0; // l_f^max, used by analytic bounds
   uint64_t key = 0;             // external lookup key (valid iff has_key)
-  std::string name;             // for reports
-  bool active = true;           // false while the flow has left (churn)
-  bool has_key = false;
 };
 
 // Registry of flows known to a scheduler. Flow ids are dense small integers
@@ -36,8 +37,8 @@ struct FlowSpec {
 // returned false past the end while `spec()`/`set_active()` threw):
 //   * `active(id)` and `contains(id)` are total: false for any id that is not
 //     live, including ids >= size() and kInvalidFlow.
-//   * `spec()`, `weight()`, `set_active()` throw std::out_of_range for any id
-//     that is not live, including kInvalidFlow and reclaimed ids.
+//   * `spec()`, `weight()`, `name()`, `set_active()` throw std::out_of_range
+//     for any id that is not live, including kInvalidFlow and reclaimed ids.
 //   * `size()` stays the slot-universe bound (every live id < size()), so
 //     `for (FlowId f = 0; f < size(); ++f) if (active(f)) ...` loops remain
 //     valid with dead slots present.
@@ -47,14 +48,17 @@ struct FlowSpec {
 // with a periodic exact rebuild bounding floating-point drift.
 class FlowTable {
  public:
+  // An empty name stores nothing: name() then reports "flow<id>".
   FlowId add(double weight, double max_packet_bits = 0.0, std::string name = {});
 
   // Returns a dead id to the free list for reuse by `add`. The id must be
-  // live; its key binding (if any) is dropped. The caller owns the tag-safety
-  // argument (see SfqScheduler's GC).
+  // live; its key binding and name (if any) are dropped. The caller owns the
+  // tag-safety argument (see SfqScheduler's GC).
   void reclaim(FlowId id);
 
   const FlowSpec& spec(FlowId id) const { return live_ref(id); }
+  // The name given to `add`, or "flow<id>" when none was given (for reports).
+  std::string name(FlowId id) const;
   double weight(FlowId id) const { return live_ref(id).weight; }
   std::size_t size() const { return slots_.size(); }
   std::size_t live_count() const { return live_count_; }
@@ -78,9 +82,12 @@ class FlowTable {
   void bind_key(uint64_t key, FlowId id);
   FlowId find(uint64_t key) const;
 
-  // Pre-sizes slots, free list, and key index so that add/bind_key up to n
-  // concurrently-live flows never allocate (flow-scale bench's zero-alloc
-  // steady-state gate).
+  // Pre-sizes the slot array and the free list for n concurrently-live
+  // flows, so add/reclaim never allocate (flow-scale bench's zero-alloc
+  // steady-state gate); neither is written until flows arrive. For the key
+  // index it only records n: the first bind_key builds the index for n keys,
+  // so a table that never binds a key carries none. Call it before binding
+  // keys; an index already built grows by doubling.
   void reserve(std::size_t n);
 
   // Aggregates below count active flows only, so a departed flow releases
@@ -115,6 +122,10 @@ class FlowTable {
                                    // function of the add/reclaim history
   std::vector<KeyEntry> keys_;     // power-of-two open-addressing index
   std::size_t keys_used_ = 0;
+  std::size_t first_key_capacity_ = 16;  // raised by reserve(n) to fit n
+  // Names given to `add`, by id; empty past the highest named id and for
+  // unnamed flows, so a table without names carries no name storage.
+  std::vector<std::string> names_;
   std::size_t live_count_ = 0;
   double total_weight_ = 0.0;
   double total_max_packet_bits_ = 0.0;

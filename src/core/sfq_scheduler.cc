@@ -54,9 +54,9 @@ void SfqScheduler::reserve_flows(std::size_t n) {
   flows_.reserve(n);
   flow_state_.reserve(n);
   queues_.reserve(n);
-  ready_.reserve(n);
-  retired_.reserve(n);
   if (use_wheel_) wheel_.reserve(n);
+  else ready_.reserve(n);
+  if (options_.flow_gc) retired_.reserve(n);
 }
 
 double SfqScheduler::tiebreak_value(FlowId f) const {

@@ -89,10 +89,13 @@ class SfqScheduler : public Scheduler {
     return use_wheel_ ? options_.wheel_quantum : 0.0;
   }
 
-  // Pre-sizes every per-flow structure (flow table incl. key index, tag
-  // state, queues, ready structure) for up to n concurrently-live flows, so
-  // steady-state operation — churn with recycled ids included — performs no
-  // allocations beyond the packet slab's high-water growth.
+  // Pre-sizes, for up to n concurrently-live flows, the per-flow structures
+  // this configuration uses: the flow table (FlowTable::reserve; the key
+  // index is sized on the first bind_key), tag state, queues, the ready
+  // structure of the configured core only (heap or wheel), and the retire
+  // heap only with flow_gc. Steady-state operation — churn with recycled ids
+  // included — then performs no allocations beyond the packet slab's
+  // high-water growth.
   void reserve_flows(std::size_t n);
 
   // Current server virtual time (exposed for tests and for the analytic

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cmath>
 #include <cstdio>
 #include <optional>
 #include <stdexcept>
@@ -253,10 +252,11 @@ void RtEngine::start() {
   if (started_) throw std::logic_error("RtEngine: start() called twice");
   started_ = true;
   const std::size_t n = sched_.flows().size();
-  flow_bits_.reserve(n);
-  for (std::size_t i = 0; i < n; ++i)
-    flow_bits_.push_back(std::make_unique<std::atomic<double>>(0.0));
-  if (tele_on_) {
+  flow_bits_ = std::make_unique<std::atomic<double>[]>(n);  // all 0.0
+  flow_count_ = n;
+  const bool stats_on =
+      tele_on_ && (opts_.stats_interval > 0.0 || opts_.stats_port >= 0);
+  if (stats_on) {
     // The flow table is immutable while the engine runs, so the stats thread
     // works off a private copy of the fairness parameters.
     fair_weights_.reserve(n);
@@ -300,7 +300,7 @@ void RtEngine::start() {
     dispatcher_exit_cleanup();
     if (tele_on_) publish_final_gauges();
   });
-  if (tele_on_ && (opts_.stats_interval > 0.0 || opts_.stats_port >= 0)) {
+  if (stats_on) {
     if (opts_.stats_port >= 0) {
       stats_server_ = std::make_unique<tel::StatsServer>();
       stats_server_->start(static_cast<uint16_t>(opts_.stats_port));
@@ -752,8 +752,8 @@ void RtEngine::complete(const Packet& p, Time now, Time deadline) {
   // (not fetch_add) is race-free and keeps doubles exact.
   tx_bits_.store(tx_bits_.load(std::memory_order_relaxed) + p.length_bits,
                  std::memory_order_relaxed);
-  if (p.flow < flow_bits_.size()) {
-    std::atomic<double>& b = *flow_bits_[p.flow];
+  if (p.flow < flow_count_) {
+    std::atomic<double>& b = flow_bits_[p.flow];
     b.store(b.load(std::memory_order_relaxed) + p.length_bits,
             std::memory_order_release);
   }
@@ -954,15 +954,14 @@ void RtEngine::recompute_shed_shares() {
 }
 
 double RtEngine::flow_tx_bits(FlowId f) const {
-  return f < flow_bits_.size()
-             ? flow_bits_[f]->load(std::memory_order_acquire)
-             : 0.0;
+  return f < flow_count_ ? flow_bits_[f].load(std::memory_order_acquire)
+                         : 0.0;
 }
 
 std::vector<double> RtEngine::service_snapshot() const {
-  std::vector<double> out(flow_bits_.size());
-  for (std::size_t f = 0; f < flow_bits_.size(); ++f)
-    out[f] = flow_bits_[f]->load(std::memory_order_acquire);
+  std::vector<double> out(flow_count_);
+  for (std::size_t f = 0; f < flow_count_; ++f)
+    out[f] = flow_bits_[f].load(std::memory_order_acquire);
   return out;
 }
 
@@ -993,30 +992,13 @@ void RtEngine::publish_stats(std::vector<double>& prev_service) {
                    static_cast<double>(es.backlog), shard);
   tele_->set_gauge(tel::GaugeId::kServiceLagMax, es.max_service_lag, shard);
 
-  // Theorem-1 fairness monitor over the last window: for every pair of flows
-  // that both received service, compare normalized service W_f/r_f against
-  // the paper's bound l_f/r_f + l_m/r_m (stats::sfq_fairness_bound). Flows
-  // idle in the window are skipped — the theorem only covers intervals where
-  // both flows are backlogged, and "both received service" is the cheapest
-  // online proxy for that.
+  // Theorem-1 fairness monitor over the last window (stats::window_fairness):
+  // flows idle in the window are skipped — the theorem only covers intervals
+  // where both flows are backlogged, and "both received service" is the
+  // cheapest online proxy for that.
   const std::vector<double> cur = service_snapshot();
-  double gap = 0.0;
-  double bound = 0.0;
-  for (std::size_t f = 0; f < cur.size(); ++f) {
-    const double df = cur[f] - prev_service[f];
-    if (df <= 0.0) continue;
-    for (std::size_t m = f + 1; m < cur.size(); ++m) {
-      const double dm = cur[m] - prev_service[m];
-      if (dm <= 0.0) continue;
-      const double g =
-          std::abs(df / fair_weights_[f] - dm / fair_weights_[m]);
-      const double b = stats::sfq_fairness_bound(
-          fair_max_bits_[f], fair_weights_[f], fair_max_bits_[m],
-          fair_weights_[m]);
-      if (g > gap) gap = g;
-      if (b > bound) bound = b;
-    }
-  }
+  const auto [gap, bound] = stats::window_fairness(
+      prev_service, cur, fair_weights_, fair_max_bits_);
   prev_service = cur;
   tele_->set_gauge(tel::GaugeId::kFairnessGap, gap, shard);
   if (gap > tele_->gauge(tel::GaugeId::kFairnessGapMax, shard))

@@ -440,7 +440,8 @@ class RtEngine : public IngressTarget {
   std::mutex stats_mu_;
   std::condition_variable stats_cv_;
   bool stats_stop_ = false;
-  std::vector<double> fair_weights_;    // copied at start(); immutable after
+  // Copied at start() only when the stats thread runs; immutable after.
+  std::vector<double> fair_weights_;
   std::vector<double> fair_max_bits_;
 
   // Paced-service timer: the engine transmits one packet at a time, so the
@@ -469,8 +470,10 @@ class RtEngine : public IngressTarget {
   std::atomic<bool> stalled_{false};
   std::atomic<uint64_t> migrated_in_{0};
   std::atomic<uint64_t> migrated_out_{0};
-  // Single-writer (dispatcher) per-flow service totals; sized at start().
-  std::vector<std::unique_ptr<std::atomic<double>>> flow_bits_;
+  // Single-writer (dispatcher) per-flow service totals; one flat array of
+  // flow_count_ cells, sized at start().
+  std::unique_ptr<std::atomic<double>[]> flow_bits_;
+  std::size_t flow_count_ = 0;
 
   // Watchdog escalation state (dispatcher thread; atomics are for stats()).
   std::atomic<uint64_t> recoveries_{0};

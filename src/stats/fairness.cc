@@ -160,4 +160,31 @@ FairnessTriangle all_pairs_fairness(const ServiceRecorder& rec,
   return out;
 }
 
+WindowFairness window_fairness(std::span<const double> start,
+                               std::span<const double> end,
+                               std::span<const double> rates,
+                               std::span<const double> max_bits) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  double lo = kInf, hi = -kInf;  // extremes of W_f / r_f
+  double top = -kInf, next = -kInf;  // two largest l_f / r_f
+  for (std::size_t f = 0; f < end.size(); ++f) {
+    const double w = end[f] - start[f];
+    if (w <= 0.0) continue;
+    const double x = w / rates[f];
+    lo = std::min(lo, x);
+    hi = std::max(hi, x);
+    const double a = max_bits[f] / rates[f];
+    if (a > top) {
+      next = top;
+      top = a;
+    } else if (a > next) {
+      next = a;
+    }
+  }
+  // The pair loop starts both maxima at 0. With fewer than two served flows
+  // a difference or sum below involves an infinity and is -inf or 0, so the
+  // clamp also yields the pair loop's 0 there.
+  return {std::max(0.0, hi - lo), std::max(0.0, top + next)};
+}
+
 }  // namespace sfq::stats

@@ -59,6 +59,25 @@ inline double sfq_fairness_bound(double lf_max, double rf, double lm_max,
   return lf_max / rf + lm_max / rm;
 }
 
+// Live Theorem-1 monitor over one stats window: W_f = end[f] - start[f] is
+// flow f's service in the window, and only flows with W_f > 0 count (both
+// flows served is the online proxy for both backlogged). `gap` is the
+// largest |W_f/r_f - W_m/r_m| and `bound` the largest
+// sfq_fairness_bound(l_f, r_f, l_m, r_m) over pairs of served flows; both
+// are 0 with fewer than two served flows. One O(F) pass: the gap is
+// max - min of W_f/r_f and the bound the sum of the two largest l_f/r_f,
+// bit-identical to the loop over every pair because IEEE subtraction and
+// addition are monotone in each operand. All four spans have one entry per
+// flow.
+struct WindowFairness {
+  double gap = 0.0;
+  double bound = 0.0;
+};
+WindowFairness window_fairness(std::span<const double> start,
+                               std::span<const double> end,
+                               std::span<const double> rates,
+                               std::span<const double> max_bits);
+
 // Lower bound on H(f,m) for any packet algorithm (Golestani, cited in §1.2).
 inline double fairness_lower_bound(double lf_max, double rf, double lm_max,
                                    double rm) {

@@ -16,6 +16,8 @@
 
 #include <cstdint>
 #include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "core/flow_table.h"
 #include "core/sfq_scheduler.h"
@@ -242,6 +244,54 @@ TEST(FlowTable, KeyIndexHandlesCollisionChurnAtScale) {
     }
   }
   for (const auto& [key, id] : bound) ASSERT_EQ(t.find(key), id);
+}
+
+// ---- Per-flow footprint: the hot record and its cold side stores ----------
+
+// A million-flow table is a flat array of these; names and the key index
+// live elsewhere.
+static_assert(sizeof(FlowSpec) <= 32, "FlowSpec is the per-flow hot record");
+
+TEST(FlowTable, NamesLiveInASideStoreAndDieWithTheirFlow) {
+  FlowTable t;
+  const FlowId a = t.add(1.0, 0.0, "voice");
+  const FlowId b = t.add(2.0);
+  EXPECT_EQ(t.name(a), "voice");
+  EXPECT_EQ(t.name(b), "flow" + std::to_string(b));  // auto-named
+
+  t.reclaim(a);
+  EXPECT_THROW(t.name(a), std::out_of_range);
+  const FlowId unnamed = t.add(3.0);
+  ASSERT_EQ(unnamed, a);  // LIFO reuse
+  EXPECT_EQ(t.name(unnamed), "flow" + std::to_string(a));  // not "voice"
+
+  t.reclaim(unnamed);
+  const FlowId renamed = t.add(4.0, 0.0, "video");
+  ASSERT_EQ(renamed, a);
+  EXPECT_EQ(t.name(renamed), "video");
+  EXPECT_EQ(t.name(b), "flow" + std::to_string(b));
+  EXPECT_THROW(t.name(kInvalidFlow), std::out_of_range);
+  EXPECT_THROW(t.name(t.size()), std::out_of_range);
+}
+
+TEST(FlowTable, KeyIndexIsBuiltOnTheFirstBindAfterReserve) {
+  // reserve(n) only records n; the first bind_key sizes the index for it.
+  constexpr std::size_t kN = 3000;
+  FlowTable t;
+  t.reserve(kN);
+  EXPECT_EQ(t.find(42), kInvalidFlow);
+  std::vector<uint64_t> keys;
+  uint64_t rng = 11;
+  for (std::size_t i = 0; i < kN; ++i) {
+    keys.push_back(mix64(rng));
+    t.bind_key(keys.back(), t.add(1.0));
+  }
+  for (std::size_t i = 0; i < kN; ++i) ASSERT_EQ(t.find(keys[i]), FlowId(i));
+
+  // Reclaiming every third flow leaves the other bindings where they were.
+  for (std::size_t i = 0; i < kN; i += 3) t.reclaim(FlowId(i));
+  for (std::size_t i = 0; i < kN; ++i)
+    ASSERT_EQ(t.find(keys[i]), i % 3 == 0 ? kInvalidFlow : FlowId(i));
 }
 
 }  // namespace

@@ -68,7 +68,7 @@ TEST(FlowTable, AggregatesAndValidation) {
   EXPECT_DOUBLE_EQ(t.total_max_packet_bits(), 3000.0);
   EXPECT_DOUBLE_EQ(t.sum_other_max_packets(a), 2000.0);
   EXPECT_DOUBLE_EQ(t.sum_other_max_packets(b), 1000.0);
-  EXPECT_EQ(t.spec(b).name, "flow1");  // auto-named
+  EXPECT_EQ(t.name(b), "flow1");  // auto-named
 }
 
 TEST(MpegVbr, RejectsBadGop) {

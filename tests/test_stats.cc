@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <numeric>
 #include <random>
 #include <stdexcept>
 #include <vector>
@@ -361,6 +362,71 @@ TEST(ServiceRecorder, IndexedQueriesMatchFullWalk) {
       EXPECT_EQ(r.rec.served_bits(f, t1, t2), w) << f << " " << t1 << " " << t2;
     }
   }
+}
+
+// The pair loop the rt engine's live monitor ran before window_fairness.
+WindowFairness window_fairness_pairwise(const std::vector<double>& start,
+                                        const std::vector<double>& end,
+                                        const std::vector<double>& rates,
+                                        const std::vector<double>& max_bits) {
+  WindowFairness out;
+  for (std::size_t f = 0; f < end.size(); ++f) {
+    const double df = end[f] - start[f];
+    if (df <= 0.0) continue;
+    for (std::size_t m = f + 1; m < end.size(); ++m) {
+      const double dm = end[m] - start[m];
+      if (dm <= 0.0) continue;
+      const double g = std::abs(df / rates[f] - dm / rates[m]);
+      const double b =
+          sfq_fairness_bound(max_bits[f], rates[f], max_bits[m], rates[m]);
+      if (g > out.gap) out.gap = g;
+      if (b > out.bound) out.bound = b;
+    }
+  }
+  return out;
+}
+
+// The one-pass monitor equals the pair loop bit for bit: random service
+// with ties and idle flows, and windows with exactly 0, 1 and 2 served flows.
+TEST(Fairness, WindowFairnessIsBitEqualToThePairLoop) {
+  std::mt19937_64 rng(2024);
+  std::uniform_real_distribution<double> u(0.0, 1.0);
+  auto pick = [&](std::initializer_list<double> tied) {
+    if (u(rng) < 0.5) return 1e3 + 1e6 * u(rng);
+    return *(tied.begin() + rng() % tied.size());
+  };
+  for (int trial = 0; trial < 400; ++trial) {
+    const std::size_t n = trial % 7 == 0 ? 0 : 1 + rng() % 40;
+    // Served flows in this window: all, none, exactly one or exactly two.
+    const int mode = trial % 4;
+    std::vector<std::size_t> order(n);
+    std::iota(order.begin(), order.end(), std::size_t{0});
+    std::shuffle(order.begin(), order.end(), rng);
+    std::vector<char> served(n, 0);
+    for (std::size_t k = 0; k < n; ++k)
+      served[order[k]] = mode == 0   ? u(rng) < 0.7
+                         : mode == 1 ? 0
+                                     : k < static_cast<std::size_t>(mode - 1);
+    std::vector<double> start(n), end(n), rates(n), max_bits(n);
+    for (std::size_t f = 0; f < n; ++f) {
+      start[f] = 1e9 * u(rng);
+      end[f] = served[f] ? start[f] + pick({1500.0, 12000.0, 3.0e4}) : start[f];
+      rates[f] = pick({1e6, 2e6, 5e5});
+      max_bits[f] = pick({12000.0, 512.0, 0.0});
+    }
+    const WindowFairness ref = window_fairness_pairwise(start, end, rates, max_bits);
+    const WindowFairness got = window_fairness(start, end, rates, max_bits);
+    EXPECT_EQ(got.gap, ref.gap) << "trial " << trial;
+    EXPECT_EQ(got.bound, ref.bound) << "trial " << trial;
+  }
+  // Fewer than two served flows: both figures are 0.
+  const std::vector<double> zero = {0.0, 0.0}, one = {0.0, 5.0};
+  const std::vector<double> r = {1.0, 2.0}, l = {10.0, 20.0};
+  EXPECT_EQ(window_fairness(zero, zero, r, l).gap, 0.0);
+  EXPECT_EQ(window_fairness(zero, zero, r, l).bound, 0.0);
+  EXPECT_EQ(window_fairness(zero, one, r, l).gap, 0.0);
+  EXPECT_EQ(window_fairness(zero, one, r, l).bound, 0.0);
+  EXPECT_EQ(window_fairness({}, {}, {}, {}).bound, 0.0);
 }
 
 TEST(Fairness, BoundsHelpers) {
