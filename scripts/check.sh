@@ -3,8 +3,9 @@
 # a traced example run whose JSONL output must parse and whose invariants
 # must hold (docs/OBSERVABILITY.md). A fault-injection run (outage + loss +
 # churn + pushout; docs/ROBUSTNESS.md) must also keep the invariants clean.
-# Set SANITIZE=1 to additionally run the ASan+UBSan sweep (scripts/sanitize.sh)
-# and TSAN=1 for the ThreadSanitizer sweep of src/rt/ (scripts/tsan.sh).
+# Set SANITIZE=1 to additionally run the ASan+UBSan sweep (scripts/sanitize.sh),
+# TSAN=1 for the ThreadSanitizer sweep of src/rt/ (scripts/tsan.sh) and
+# DEBUG=1 for a Debug build and test run, the one leg that evaluates assert()s.
 # Set PERF=1 for the perf-regression gate (docs/PERFORMANCE.md): the three
 # perf benches run with the allocation guard and throughput floor enforced,
 # and sim throughput must clear 1.5x the committed pre-optimisation baseline.
@@ -91,6 +92,15 @@ fi
 
 if [[ "${TSAN:-0}" == "1" ]]; then
   scripts/tsan.sh
+fi
+
+if [[ "${DEBUG:-0}" == "1" ]]; then
+  # Every other leg builds Release, which defines NDEBUG; here the library's
+  # assert()s run under the whole test suite.
+  dbg=${DEBUG_BUILD_DIR:-build-debug}
+  cmake -B "$dbg" -S . -DCMAKE_BUILD_TYPE=Debug -DSFQ_WERROR=ON
+  cmake --build "$dbg" -j"$(nproc)"
+  ctest --test-dir "$dbg" -j"$(nproc)" --output-on-failure
 fi
 
 # Tracked size (ROADMAP): lines in src/ and examples/.

@@ -22,10 +22,13 @@
 // wheel minimum. Occupancy bitmaps make find-min a handful of word scans.
 //
 // Key contract (exactly what SFQ guarantees):
-//   * push/update keys are monotone: no key may be below the key of the last
-//     popped entry's bucket (SFQ: S = max(v, F_prev) >= v, and v is the tag
-//     of the last dequeued packet). Violations are clamped to the cursor,
-//     which is semantically a no-op for SFQ and asserted in debug builds.
+//   * push/update keys are monotone: no key should be below the key of the
+//     last popped entry's bucket (SFQ: S = max(v, F_prev) >= v, and v is the
+//     tag of the last dequeued packet). A key below the cursor is clamped to
+//     it, in every build: it is served from the cursor's bucket, after the
+//     entries already there, never stranded. For SFQ the clamp is a no-op;
+//     for a corrupted tag (chaos's injected tag bug) it turns the corruption
+//     into an ordering fault the differential checks can see.
 //   * each id is present at most once (the flow's head packet).
 //
 // The interface mirrors IndexedHeap (push/update/erase/top_id/pop/contains)
@@ -94,9 +97,8 @@ class CalendarQueue {
       const uint64_t floor_tick = to_tick(floor_tag);
       cur_ = floor_tick < tick ? floor_tick : tick;
     }
-    // Monotone-insert contract (see header). Clamping to the cursor keeps a
-    // (contract-violating) low key serviceable instead of stranding it.
-    assert(tick + 1 >= cur_ + 1);  // tick >= cur_, robust to tick == 0
+    // Monotone-insert contract (see header): a key behind the cursor is
+    // served from the cursor's bucket.
     if (tick < cur_) tick = cur_;
     Node& n = nodes_[id];
     n.tick = tick;

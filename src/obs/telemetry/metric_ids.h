@@ -39,6 +39,8 @@ enum class CounterId : uint16_t {
   kOfferAbandoned,  // offers given up after retries / per-packet deadline
   kShardFailovers,  // completed shard failovers (fence -> rehome settled)
   kFlowsRehomed,    // flows migrated between shards (both directions)
+  kDispatcherParks,  // idle dispatcher parks on the ingress doorbell
+  kMissedWakes,      // parks whose backstop ran out with a ring non-empty
   kCount,
 };
 inline constexpr std::size_t kCounterCount =
@@ -100,6 +102,7 @@ constexpr const char* name(CounterId id) {
       "rt.stalls",         "rt.recoveries",
       "rt.offer_retries",  "rt.offer_abandoned",
       "rt.shard_failovers", "rt.flows_rehomed",
+      "rt.dispatcher_parks", "rt.dispatcher_missed_wakes",
   };
   return kNames[static_cast<std::size_t>(id)];
 }
@@ -139,6 +142,7 @@ constexpr const char* prometheus_name(CounterId id) {
       "sfq_stalls_total",         "sfq_recoveries_total",
       "sfq_offer_retries_total",  "sfq_offer_abandoned_total",
       "sfq_shard_failovers_total", "sfq_flows_rehomed_total",
+      "sfq_dispatcher_parks_total", "sfq_dispatcher_missed_wakes_total",
   };
   return kNames[static_cast<std::size_t>(id)];
 }

@@ -29,8 +29,11 @@ constexpr int kDrainBatch = 64;
 constexpr int kServiceBatch = 64;
 
 // Idle strategy: yield this many times (lets producers run, which matters on
-// small machines where everything shares cores), then sleep in short naps so
-// an idle engine does not burn a core.
+// small machines where everything shares cores), then park on the ingress
+// doorbell so an idle engine does not burn a core. The next push wakes the
+// dispatcher; kIdleSleep is only the park's backstop, bounding what a missed
+// wake costs (Ingress::park) and how late an idle engine re-checks its
+// pause/kill/watchdog schedule.
 constexpr int kIdleYields = 16;
 constexpr auto kIdleSleep = std::chrono::microseconds(50);
 
@@ -315,7 +318,8 @@ void RtEngine::stop(StopMode mode) {
   if (!running_.load(std::memory_order_acquire)) return;
   accepting_.store(false, std::memory_order_release);
   stop_mode_.store(mode, std::memory_order_relaxed);
-  stop_requested_.store(true, std::memory_order_release);
+  stop_requested_.store(true, std::memory_order_seq_cst);
+  ingress_.wake();
   if (dispatcher_.joinable()) dispatcher_.join();
   // Stop the stats thread after the dispatcher so its final pass sees the
   // settled counters. The TCP endpoint stays up until destruction so late
@@ -531,10 +535,21 @@ void RtEngine::run() {
         std::this_thread::yield();
       }
     } else if (drained == 0) {
-      if (++idle_streak <= kIdleYields)
+      if (idle_streak < kIdleYields) {
+        ++idle_streak;  // capped: a days-long idle spell cannot overflow it
         std::this_thread::yield();
-      else
-        std::this_thread::sleep_for(kIdleSleep);
+      } else {
+        // Park until a push, stop() or a control op rings the doorbell.
+        const Ingress::Park park = ingress_.park(kIdleSleep, [this] {
+          return stop_requested_.load(std::memory_order_seq_cst) ||
+                 ctrl_pending_.load(std::memory_order_seq_cst);
+        });
+        if (tele_on_ && park != Ingress::Park::kSkipped) {
+          disp_writer_.inc(tel::CounterId::kDispatcherParks);
+          if (park == Ingress::Park::kMissedWake)
+            disp_writer_.inc(tel::CounterId::kMissedWakes);
+        }
+      }
     } else {
       idle_streak = 0;
     }
@@ -848,8 +863,9 @@ bool RtEngine::submit_control(ControlOp& op) {
         !running_.load(std::memory_order_acquire))
       return false;
     ctrl_queue_.push_back(&op);
-    ctrl_pending_.store(true, std::memory_order_release);
+    ctrl_pending_.store(true, std::memory_order_seq_cst);
   }
+  ingress_.wake();
   std::unique_lock<std::mutex> lock(ctrl_mu_);
   ctrl_cv_.wait(lock, [&] {
     return op.done || dispatcher_done_.load(std::memory_order_acquire);

@@ -3,6 +3,17 @@
 #include <stdexcept>
 #include <utility>
 
+#if defined(__linux__)
+#include <linux/futex.h>
+#include <sys/syscall.h>
+#include <unistd.h>
+
+#include <cerrno>
+#include <ctime>
+#else
+#include <thread>
+#endif
+
 namespace sfq::rt {
 
 Ingress::Ingress(std::size_t producers, std::size_t ring_capacity) {
@@ -20,7 +31,10 @@ bool Ingress::push(std::size_t i, Packet p, Time now, bool count_full) {
   item.packet = std::move(p);
   item.packet.arrival = now;
   item.t_ingress = now;
-  if (s.ring.try_push(std::move(item))) return true;
+  if (s.ring.try_push(std::move(item))) {
+    if (word().load(std::memory_order_relaxed)) [[unlikely]] wake();
+    return true;
+  }
   if (count_full) s.drops.fetch_add(1, std::memory_order_relaxed);
   return false;
 }
@@ -44,6 +58,33 @@ std::optional<IngressItem> Ingress::pop_earliest() {
   IngressItem out = std::move(*best->front());
   best->pop();
   return out;
+}
+
+static_assert(std::atomic_ref<uint32_t>::is_always_lock_free);
+
+void Ingress::wake() {
+  if (word().exchange(0, std::memory_order_seq_cst) == 0) return;
+#if defined(__linux__)
+  syscall(SYS_futex, &parked_, FUTEX_WAKE_PRIVATE, 1, nullptr, nullptr, 0);
+#endif
+}
+
+Ingress::Park Ingress::wait_parked(std::chrono::nanoseconds backstop) {
+  bool expired = true;
+#if defined(__linux__)
+  const auto ns = backstop.count();
+  const timespec ts{static_cast<time_t>(ns / 1'000'000'000),
+                    static_cast<long>(ns % 1'000'000'000)};
+  // Returns at once when the word is no longer 1 (a wake got in first).
+  expired = syscall(SYS_futex, &parked_, FUTEX_WAIT_PRIVATE, 1, &ts, nullptr,
+                    0) != 0 &&
+            errno == ETIMEDOUT;
+#else
+  std::this_thread::sleep_for(backstop);
+#endif
+  // Whoever takes the 1 out of the word ended the park.
+  if (word().exchange(0, std::memory_order_relaxed) == 0) return Park::kWoken;
+  return expired && !empty() ? Park::kMissedWake : Park::kExpired;
 }
 
 bool Ingress::empty() const {

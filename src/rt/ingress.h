@@ -1,6 +1,7 @@
 #pragma once
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <memory>
 #include <optional>
@@ -35,6 +36,9 @@ struct IngressItem {
 // Backpressure: a full ring is a counted drop (or a spin, for producers that
 // must not lose packets), never a block inside the scheduler — the same
 // philosophy as PR 2's overload policies, applied one stage earlier.
+//
+// Doorbell: an idle dispatcher parks on one word next to the rings, and the
+// push that ends the idleness wakes it (docs/REALTIME.md "Wait strategy").
 class Ingress {
  public:
   Ingress(std::size_t producers, std::size_t ring_capacity);
@@ -46,6 +50,7 @@ class Ingress {
   // ring is full; with `count_full` (the default) the drop has then already
   // been counted against shard i. Blocking producers retry with
   // count_full = false so one lost packet is not counted once per spin.
+  // A successful push rings the doorbell when the dispatcher is parked.
   bool push(std::size_t i, Packet p, Time now, bool count_full = true);
 
   // Producer `i` only: records a backpressure drop that happened outside the
@@ -61,6 +66,38 @@ class Ingress {
   // decisions, not correctness.
   bool empty() const;
 
+  // How a park() ended.
+  enum class Park : uint8_t {
+    kSkipped,     // a ring held an item, or pending() held, once parked
+    kWoken,       // a push or wake() rang the doorbell
+    kExpired,     // the backstop ran out with every ring empty
+    kMissedWake,  // the backstop ran out with an item in a ring: a push
+                  // raced the park and did not see the parked word
+  };
+
+  // Dispatcher only: waits until a push or wake() rings the doorbell, or
+  // until `backstop` has passed. The word is published first; then every
+  // ring and `pending()` (the caller's own wake conditions, e.g. stop) are
+  // checked once more, so a wake() issued after `pending()` turned true is
+  // never lost. A push does not fence, so its wake can be missed; the
+  // backstop bounds what a miss costs.
+  template <typename Pending>
+  Park park(std::chrono::nanoseconds backstop, Pending&& pending) {
+    // A seq_cst store rather than a fence (ThreadSanitizer does not model
+    // fences): it orders the word against the seq_cst loads in pending()
+    // and wake()'s exchange.
+    word().store(1, std::memory_order_seq_cst);
+    if (!empty() || pending()) {
+      word().store(0, std::memory_order_relaxed);
+      return Park::kSkipped;
+    }
+    return wait_parked(backstop);
+  }
+
+  // Any thread: ends a park in progress. Callers that change one of the
+  // dispatcher's pending() conditions store it seq_cst, then call this.
+  void wake();
+
   // Any thread (relaxed counters; pushes are read off the ring indices).
   uint64_t drops(std::size_t i) const;
   uint64_t total_pushed() const;
@@ -72,7 +109,15 @@ class Ingress {
     SpscRing<IngressItem> ring;
     alignas(kCacheLineBytes) std::atomic<uint64_t> drops{0};
   };
+  Park wait_parked(std::chrono::nanoseconds backstop);
+  std::atomic_ref<uint32_t> word() { return std::atomic_ref(parked_); }
+
   std::vector<std::unique_ptr<Shard>> shards_;
+  // The doorbell word, 1 while the dispatcher is parked, and the futex the
+  // park waits on; accessed only through word(). Producers read it once per
+  // push and only the dispatcher sets it, so the line stays shared while
+  // the dispatcher is busy.
+  alignas(kCacheLineBytes) uint32_t parked_ = 0;
 };
 
 }  // namespace sfq::rt

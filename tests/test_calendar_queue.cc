@@ -101,6 +101,24 @@ TEST(CalendarQueue, DistantTagsCrossEveryLevelAndTheOverflowBand) {
   EXPECT_TRUE(q.empty());
 }
 
+TEST(CalendarQueue, KeyBehindTheCursorIsClampedAndServed) {
+  // The documented clamp: a key below the cursor (tick 3 after tick 10 was
+  // popped) joins the cursor's bucket behind its entries and before any
+  // later bucket, in Debug and Release builds alike.
+  CalendarQueue q(1.0);
+  q.push(0, 10.0);
+  q.push(1, 20.0);
+  EXPECT_EQ(take(q), 0u);  // cursor now at tick 10
+  q.push(2, 10.5);
+  q.push(3, 3.0);
+  q.push(4, 0.0);
+  EXPECT_EQ(take(q), 2u);
+  EXPECT_EQ(take(q), 3u);
+  EXPECT_EQ(take(q), 4u);
+  EXPECT_EQ(take(q), 1u);
+  EXPECT_TRUE(q.empty());
+}
+
 TEST(CalendarQueue, UpdateMovesAndEraseRemoves) {
   CalendarQueue q(1.0);
   q.push(7, 100.0);
