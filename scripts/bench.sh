@@ -60,7 +60,9 @@ for perf in sim_throughput scheduler_perf rt_engine telemetry_overhead \
 done
 
 # Append this sweep to the tracked BENCH_HISTORY.jsonl: one JSON line per
-# (bench, scenario, metric) record, stamped with the git SHA, so the perf
+# (bench, scenario, metric) record, stamped with the git SHA, a digest of
+# src/ (src_sha256, the same digest perfbench/run.py records) and the machine
+# shape (nproc, cpu_model), so the perf
 # trajectory is queryable across commits without walking git history for the
 # canonical snapshots. Re-running a sweep at the same SHA (filtered re-runs,
 # local iteration) must not accumulate duplicates: the history is deduped on
@@ -72,9 +74,33 @@ shopt -u nullglob
 if ((${#reports[@]})) && command -v python3 >/dev/null; then
   sha=$(git rev-parse --short HEAD 2>/dev/null || echo unknown)
   python3 - "$sha" "${reports[@]}" <<'EOF'
-import json, os, sys
+import hashlib, json, os, sys
 sha, paths = sys.argv[1], sys.argv[2:]
 hist_path = "BENCH_HISTORY.jsonl"
+
+def src_sha256():
+    digest = hashlib.sha256()
+    for base, dirs, files in os.walk("src"):
+        dirs.sort()
+        for name in sorted(files):
+            path = os.path.join(base, name)
+            digest.update(os.path.relpath(path, "src").encode())
+            with open(path, "rb") as f:
+                digest.update(f.read())
+    return digest.hexdigest()[:16]
+
+def cpu_model():
+    try:
+        with open("/proc/cpuinfo") as f:
+            for line in f:
+                if line.startswith("model name"):
+                    return line.split(":", 1)[1].strip()
+    except OSError:
+        pass
+    return "unknown"
+
+stamp = {"src_sha256": src_sha256(), "nproc": os.cpu_count(),
+         "cpu_model": cpu_model()}
 records = []
 if os.path.exists(hist_path):
     with open(hist_path) as hist:
@@ -87,7 +113,7 @@ for path in paths:
     for rec in json.load(open(path)):
         records.append({"bench": rec["bench"], "scenario": rec["scenario"],
                         "metric": rec["metric"], "value": rec["value"],
-                        "sha": sha})
+                        "sha": sha, **stamp})
         n += 1
 # Last write wins per key; insertion order of the surviving records is the
 # order each key was FIRST seen, so the file stays chronologically stable.

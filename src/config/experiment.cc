@@ -596,71 +596,43 @@ ExperimentResult run_experiment(const ExperimentSpec& spec,
     return std::make_unique<net::ConstantRate>(hop.rate);
   };
 
-  // Build either a single server or a tandem path; both expose an inject
-  // function, a first-hop recorder, and a delivery point.
-  stats::DelayStats delays;
-  uint64_t drops = 0;
+  // One path for every run: a tandem of spec.hops.size() servers (a single
+  // server is a tandem of one). Each hop's discipline is built with the
+  // flows registered in spec order, so flow ids agree across hops.
   std::vector<FlowId> ids;
-  std::function<void(Packet)> inject;
-  stats::ServiceRecorder* recorder = nullptr;
-
-  std::unique_ptr<Scheduler> single_sched;
-  std::unique_ptr<net::ScheduledServer> single_server;
-  std::unique_ptr<net::TandemNetwork> tandem;
-  stats::ServiceRecorder single_recorder;
-
-  const bool multi_hop = spec.hops.size() > 1;
-  if (!multi_hop) {
+  std::vector<net::TandemNetwork::Hop> hops;
+  for (std::size_t i = 0; i < spec.hops.size(); ++i) {
     BuiltScheduler built = build_experiment_scheduler(spec, opts);
-    single_sched = std::move(built.scheduler);
-    ids = std::move(built.flow_ids);
-    single_server = std::make_unique<net::ScheduledServer>(
-        sim, *single_sched, make_profile(spec.hops.front()));
-    if (spec.hops.front().buffer_packets)
-      single_server->set_buffer_limit(spec.hops.front().buffer_packets);
-    if (spec.hops.front().pushout)
-      single_server->set_overload_policy(net::OverloadPolicy::kPushout);
-    single_server->set_recorder(&single_recorder);
-    recorder = &single_recorder;
-    single_server->set_departure(
-        [&](const Packet& p, Time t) { delays.add(p.flow, t - p.arrival); });
-    inject = [&, server = single_server.get()](Packet p) {
-      server->inject(std::move(p));
-    };
-  } else {
-    std::vector<net::TandemNetwork::Hop> hops;
-    for (std::size_t i = 0; i < spec.hops.size(); ++i) {
-      net::TandemNetwork::Hop h;
-      h.scheduler = make_scheduler(spec.scheduler, opts);
-      h.profile = make_profile(spec.hops[i]);
-      h.propagation_to_next =
-          i + 1 < spec.hops.size() ? spec.hops[i].propagation : 0.0;
-      hops.push_back(std::move(h));
-    }
-    tandem = std::make_unique<net::TandemNetwork>(sim, std::move(hops));
-    for (std::size_t i = 0; i < spec.hops.size(); ++i) {
-      if (spec.hops[i].buffer_packets)
-        tandem->server(i).set_buffer_limit(spec.hops[i].buffer_packets);
-      if (spec.hops[i].pushout)
-        tandem->server(i).set_overload_policy(net::OverloadPolicy::kPushout);
-    }
-    recorder = &tandem->recorder(0);
-    // End-to-end delay, measured from the source emission.
-    tandem->set_delivery([&](const Packet& p, Time t) {
-      delays.add(p.flow, t - p.source_departure);
-    });
-    inject = [&, t = tandem.get()](Packet p) {
-      p.source_departure = sim.now();
-      t->inject(std::move(p));
-    };
+    if (i == 0) ids = std::move(built.flow_ids);
+    net::TandemNetwork::Hop h;
+    h.scheduler = std::move(built.scheduler);
+    h.profile = make_profile(spec.hops[i]);
+    h.propagation_to_next =
+        i + 1 < spec.hops.size() ? spec.hops[i].propagation : 0.0;
+    hops.push_back(std::move(h));
   }
-
-  if (multi_hop) {
-    for (const FlowSpec& f : spec.flows) {
-      const double lmax = f.packet > 0.0 ? f.packet : 400.0;
-      ids.push_back(tandem->add_flow(f.weight, lmax, f.name));
-    }
+  net::TandemNetwork path(sim, std::move(hops));
+  for (std::size_t i = 0; i < spec.hops.size(); ++i) {
+    if (spec.hops[i].buffer_packets)
+      path.server(i).set_buffer_limit(spec.hops[i].buffer_packets);
+    if (spec.hops[i].pushout)
+      path.server(i).set_overload_policy(net::OverloadPolicy::kPushout);
   }
+  net::ScheduledServer& first_server = path.server(0);
+  // The fairness pass reads the first hop only, so only it is recorded.
+  stats::ServiceRecorder recorder;
+  first_server.set_recorder(&recorder);
+  // What left the path: end-to-end delay from the source emission (its
+  // sample count is the delivered-packet count) and delivered bits, summed
+  // in delivery order.
+  stats::DelayStats delays;
+  FlowId max_id = 0;
+  for (FlowId id : ids) max_id = std::max(max_id, id);
+  std::vector<double> delivered_bits(max_id + 1, 0.0);
+  path.set_delivery([&](const Packet& p, Time t) {
+    delays.add(p.flow, t - p.source_departure);
+    delivered_bits[p.flow] += p.length_bits;
+  });
 
   // Observability: instrument the first (usually bottleneck-shared) hop.
   obs::Tracer tracer;
@@ -691,11 +663,10 @@ ExperimentResult run_experiment(const ExperimentSpec& spec,
       tracer.own(std::make_unique<obs::MetricsSink>(metrics, flow_names));
       sim.set_metrics(&metrics);
     }
-    if (multi_hop) tandem->server(0).set_tracer(&tracer);
-    else single_server->set_tracer(&tracer);
+    first_server.set_tracer(&tracer);
   }
 
-  auto emit = [&](Packet p) { inject(std::move(p)); };
+  auto emit = [&](Packet p) { path.inject(std::move(p)); };
   std::vector<std::unique_ptr<traffic::Source>> sources;
   for (std::size_t i = 0; i < spec.flows.size(); ++i) {
     const FlowSpec& f = spec.flows[i];
@@ -743,16 +714,13 @@ ExperimentResult run_experiment(const ExperimentSpec& spec,
       if (spec.flows[i].rejoin >= 0.0)
         plan.flow_join(spec.flows[i].rejoin, ids[i]);
     }
-    net::ScheduledServer& first_server =
-        multi_hop ? tandem->server(0) : *single_server;
     injector = std::make_unique<fault::FaultInjector>(sim, first_server,
                                                       std::move(plan));
     injector->arm();
   }
 
   sim.run_until(spec.duration);
-  recorder->finish(sim.now());
-  if (multi_hop) tandem->finish_recording();
+  recorder.finish(sim.now());
 
   ExperimentResult result;
   if (obs_on) {
@@ -784,34 +752,21 @@ ExperimentResult run_experiment(const ExperimentSpec& spec,
       write_to(spec.obs.metrics_text, /*as_json=*/false);
     }
   }
-  if (!multi_hop) {
-    drops = single_server->drops();
-  } else {
-    for (std::size_t i = 0; i < spec.hops.size(); ++i)
-      drops += tandem->server(i).drops();
-  }
-  result.drops = drops;
+  for (std::size_t i = 0; i < spec.hops.size(); ++i)
+    result.drops += path.server(i).drops();
   for (std::size_t c = 1; c < obs::kDropCauseCount; ++c) {
     const auto cause = static_cast<obs::DropCause>(c);
     uint64_t n = 0;
-    if (!multi_hop) {
-      n = single_server->drops(cause);
-    } else {
-      for (std::size_t i = 0; i < spec.hops.size(); ++i)
-        n += tandem->server(i).drops(cause);
-    }
+    for (std::size_t i = 0; i < spec.hops.size(); ++i)
+      n += path.server(i).drops(cause);
     if (n) result.drop_causes.emplace_back(obs::to_string(cause), n);
   }
 
-  // Throughput / counts come from the *last* scheduling point for a tandem
-  // (what actually left the path) and the single server otherwise.
-  stats::ServiceRecorder* tail_rec =
-      multi_hop ? &tandem->recorder(spec.hops.size() - 1) : recorder;
   for (std::size_t i = 0; i < spec.flows.size(); ++i) {
     FlowResult fr;
     fr.name = spec.flows[i].name;
-    fr.packets_delivered = tail_rec->served_packets(ids[i]);
-    fr.throughput = tail_rec->served_bits(ids[i]) / spec.duration;
+    fr.packets_delivered = delays.count(ids[i]);
+    fr.throughput = delivered_bits[ids[i]] / spec.duration;
     fr.mean_delay = delays.mean(ids[i]);
     fr.max_delay = delays.max(ids[i]);
     fr.p99_delay = delays.percentile(ids[i], 99.0);
@@ -821,7 +776,7 @@ ExperimentResult run_experiment(const ExperimentSpec& spec,
   std::vector<double> rates;
   for (const FlowSpec& f : spec.flows) rates.push_back(f.weight);
   const stats::FairnessTriangle h =
-      stats::all_pairs_fairness(*recorder, ids, rates);
+      stats::all_pairs_fairness(recorder, ids, rates);
   for (std::size_t i = 0; i < ids.size(); ++i) {
     for (std::size_t j = i + 1; j < ids.size(); ++j) {
       // Theorem-1 bound, plus the derived 2*quantum quantization slack when

@@ -7,7 +7,10 @@ namespace sfq::net {
 MultiPriorityServer::MultiPriorityServer(
     sim::Simulator& sim, std::vector<std::unique_ptr<Scheduler>> bands,
     std::unique_ptr<RateProfile> profile)
-    : sim_(sim), bands_(std::move(bands)), profile_(std::move(profile)) {
+    : sim_(sim),
+      bands_(std::move(bands)),
+      profile_(std::move(profile)),
+      slot_(sim.add_slot(this)) {
   if (bands_.empty())
     throw std::invalid_argument("MultiPriorityServer: no bands");
   recorders_.resize(bands_.size(), nullptr);
@@ -29,27 +32,29 @@ void MultiPriorityServer::inject(std::size_t band, Packet p) {
 }
 
 void MultiPriorityServer::try_start() {
-  if (busy_) return;
+  if (busy()) return;
   const Time now = sim_.now();
   for (std::size_t b = 0; b < bands_.size(); ++b) {
     std::optional<Packet> next = bands_[b]->dequeue(now);
     if (!next) continue;
-    busy_ = true;
-    const Time finish = profile_->finish_time(now, next->length_bits);
-    sim_.at_packet(finish, sim::EventOp::kServiceComplete, this, *next,
-                   /*t0=*/now, static_cast<uint32_t>(b));
+    tx_ = *next;
+    tx_start_ = now;
+    tx_band_ = b;
+    sim_.arm(slot_, profile_->finish_time(now, tx_.length_bits));
     return;
   }
 }
 
 void MultiPriorityServer::on_event(sim::Event& ev, Time now) {
-  if (ev.op != sim::EventOp::kServiceComplete) return;
-  const std::size_t b = ev.aux;
-  const Packet& p = ev.packet;
-  busy_ = false;
+  if (ev.op != sim::EventOp::kSlotFired) return;
+  // Copied out first: a departure callback may re-enter the server and start
+  // the next transmission over tx_.
+  const Packet p = tx_;
+  const std::size_t b = tx_band_;
   bands_[b]->on_transmit_complete(p, now);
   if (recorders_[b])
-    recorders_[b]->on_service(p.flow, p.length_bits, p.arrival, ev.t0, now);
+    recorders_[b]->on_service(p.flow, p.length_bits, p.arrival, tx_start_,
+                              now);
   if (on_departure_) on_departure_(b, p, now);
   try_start();
 }

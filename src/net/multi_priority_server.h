@@ -38,10 +38,10 @@ class MultiPriorityServer : public sim::EventTarget {
 
   Scheduler& band(std::size_t i) { return *bands_.at(i); }
   std::size_t band_count() const { return bands_.size(); }
-  bool busy() const { return busy_; }
+  bool busy() const { return sim_.armed(slot_); }
 
  private:
-  void on_event(sim::Event& ev, Time now) override;  // aux = band
+  void on_event(sim::Event& ev, Time now) override;
   void try_start();
 
   sim::Simulator& sim_;
@@ -49,7 +49,11 @@ class MultiPriorityServer : public sim::EventTarget {
   std::vector<stats::ServiceRecorder*> recorders_;
   std::unique_ptr<RateProfile> profile_;
   DepartureFn on_departure_;
-  bool busy_ = false;
+  // The one transmission in flight: armed while busy, fires at its finish.
+  sim::SlotId slot_;
+  Packet tx_{};
+  Time tx_start_ = 0.0;
+  std::size_t tx_band_ = 0;
 };
 
 }  // namespace sfq::net

@@ -10,10 +10,8 @@ TandemNetwork::TandemNetwork(sim::Simulator& sim, std::vector<Hop> hops)
   if (hops.empty()) throw std::invalid_argument("TandemNetwork: no hops");
   for (auto& h : hops) {
     schedulers_.push_back(std::move(h.scheduler));
-    recorders_.push_back(std::make_unique<stats::ServiceRecorder>());
     servers_.push_back(std::make_unique<ScheduledServer>(
         sim_, *schedulers_.back(), std::move(h.profile)));
-    servers_.back()->set_recorder(recorders_.back().get());
     propagation_.push_back(h.propagation_to_next);
   }
   for (std::size_t i = 0; i < servers_.size(); ++i) {
@@ -49,9 +47,5 @@ FlowId TandemNetwork::add_flow(double weight, double max_packet_bits,
 }
 
 void TandemNetwork::inject(Packet p) { servers_.front()->inject(std::move(p)); }
-
-void TandemNetwork::finish_recording() {
-  for (auto& r : recorders_) r->finish(sim_.now());
-}
 
 }  // namespace sfq::net

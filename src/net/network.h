@@ -9,13 +9,17 @@
 #include "net/rate_profile.h"
 #include "net/scheduled_server.h"
 #include "sim/simulator.h"
-#include "stats/service_recorder.h"
 
 namespace sfq::net {
 
 // A tandem of K servers with propagation delays between them — the topology
 // of the end-to-end analysis (§2.4). All flows traverse every hop in order;
 // flow ids are registered identically at each hop.
+//
+// The network records nothing itself: a caller attaches a
+// stats::ServiceRecorder with server(i).set_recorder() at the hops it reads
+// (a per-hop transmission log costs memory and time on every packet-hop),
+// and counts deliveries in the set_delivery() callback.
 class TandemNetwork {
  public:
   struct Hop {
@@ -46,14 +50,10 @@ class TandemNetwork {
   std::size_t hop_count() const { return servers_.size(); }
   ScheduledServer& server(std::size_t i) { return *servers_.at(i); }
   Scheduler& scheduler(std::size_t i) { return *schedulers_.at(i); }
-  stats::ServiceRecorder& recorder(std::size_t i) { return *recorders_.at(i); }
-
-  void finish_recording();
 
  private:
   sim::Simulator& sim_;
   std::vector<std::unique_ptr<Scheduler>> schedulers_;
-  std::vector<std::unique_ptr<stats::ServiceRecorder>> recorders_;
   std::vector<std::unique_ptr<ScheduledServer>> servers_;
   std::vector<Time> propagation_;
   DeliveryFn delivery_;

@@ -6,7 +6,10 @@ namespace sfq::net {
 
 PriorityServer::PriorityServer(sim::Simulator& sim, Scheduler& low_sched,
                                std::unique_ptr<RateProfile> profile)
-    : sim_(sim), low_sched_(low_sched), profile_(std::move(profile)) {}
+    : sim_(sim),
+      low_sched_(low_sched),
+      profile_(std::move(profile)),
+      slot_(sim.add_slot(this)) {}
 
 void PriorityServer::inject_high(Packet p) {
   p.arrival = sim_.now();
@@ -29,37 +32,32 @@ double PriorityServer::high_backlog_bits() const {
 }
 
 void PriorityServer::try_start() {
-  if (busy_) return;
+  if (sim_.armed(slot_)) return;
   const Time now = sim_.now();
-
-  if (!high_q_.empty()) {
-    Packet p = std::move(high_q_.front());
+  tx_high_ = !high_q_.empty();
+  if (tx_high_) {
+    tx_ = high_q_.front();
     high_q_.pop_front();
-    busy_ = true;
-    const Time finish = profile_->finish_time(now, p.length_bits);
-    sim_.at_packet(finish, sim::EventOp::kServiceComplete, this, p,
-                   /*t0=*/now, kHighBand);
-    return;
+  } else {
+    std::optional<Packet> next = low_sched_.dequeue(now);
+    if (!next) return;
+    tx_ = *next;
   }
-
-  std::optional<Packet> next = low_sched_.dequeue(now);
-  if (!next) return;
-  busy_ = true;
-  const Time finish = profile_->finish_time(now, next->length_bits);
-  sim_.at_packet(finish, sim::EventOp::kServiceComplete, this, *next,
-                 /*t0=*/now, kLowBand);
+  tx_start_ = now;
+  sim_.arm(slot_, profile_->finish_time(now, tx_.length_bits));
 }
 
 void PriorityServer::on_event(sim::Event& ev, Time now) {
-  if (ev.op != sim::EventOp::kServiceComplete) return;
-  const Packet& p = ev.packet;
-  busy_ = false;
-  if (ev.aux == kHighBand) {
+  if (ev.op != sim::EventOp::kSlotFired) return;
+  // Copied out first: a departure callback may re-enter the server and start
+  // the next transmission over tx_.
+  const Packet p = tx_;
+  if (tx_high_) {
     if (on_high_dep_) on_high_dep_(p, now);
   } else {
     low_sched_.on_transmit_complete(p, now);
     if (recorder_)
-      recorder_->on_service(p.flow, p.length_bits, p.arrival, ev.t0, now);
+      recorder_->on_service(p.flow, p.length_bits, p.arrival, tx_start_, now);
     if (on_low_dep_) on_low_dep_(p, now);
   }
   try_start();

@@ -40,10 +40,6 @@ class PriorityServer : public sim::EventTarget {
   double high_backlog_bits() const;
 
  private:
-  // Completion events discriminate the band via Event::aux.
-  static constexpr uint32_t kLowBand = 0;
-  static constexpr uint32_t kHighBand = 1;
-
   void on_event(sim::Event& ev, Time now) override;
   void try_start();
 
@@ -54,7 +50,11 @@ class PriorityServer : public sim::EventTarget {
   DepartureFn on_high_dep_;
   DepartureFn on_low_dep_;
   stats::ServiceRecorder* recorder_ = nullptr;
-  bool busy_ = false;
+  // The one transmission in flight: armed while busy, fires at its finish.
+  sim::SlotId slot_;
+  Packet tx_{};
+  Time tx_start_ = 0.0;
+  bool tx_high_ = false;
 };
 
 }  // namespace sfq::net

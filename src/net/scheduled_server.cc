@@ -7,7 +7,10 @@ namespace sfq::net {
 
 ScheduledServer::ScheduledServer(sim::Simulator& sim, Scheduler& sched,
                                  std::unique_ptr<RateProfile> profile)
-    : sim_(sim), sched_(sched), profile_(std::move(profile)) {}
+    : sim_(sim),
+      sched_(sched),
+      profile_(std::move(profile)),
+      slot_(sim.add_slot(this)) {}
 
 bool ScheduledServer::drop(Packet&& p, Time now, obs::DropCause cause) {
   ++drops_;
@@ -103,11 +106,10 @@ bool ScheduledServer::inject(Packet p) {
 }
 
 void ScheduledServer::try_start() {
-  if (busy_) return;
+  if (busy()) return;
   const Time now = sim_.now();
   std::optional<Packet> next = sched_.dequeue(now);
   if (!next) return;
-  busy_ = true;
   if (link_stats_) {
     link_stats_->on_transmit_start(now);
     link_stats_->on_queue_sample(now, sched_.backlog_packets());
@@ -116,15 +118,14 @@ void ScheduledServer::try_start() {
   if (trace_on_) [[unlikely]]
     tracer_->emit(obs::make_event(obs::TraceEventType::kTxStart, *next, now,
                                   /*vtime=*/0.0, sched_.backlog_packets()));
-  // The in-flight packet rides in the typed completion event (the event
-  // queue's slab); schedulers keep no reference to in-flight packets.
-  sim_.at_packet(finish, sim::EventOp::kServiceComplete, this, *next,
-                 /*t0=*/now);
+  // Schedulers keep no reference to in-flight packets; the server does.
+  tx_ = *next;
+  tx_start_ = now;
+  sim_.arm(slot_, finish);
 }
 
 void ScheduledServer::complete_transmission(const Packet& p, Time start,
                                             Time finish) {
-  busy_ = false;
   if (link_stats_) link_stats_->on_transmit_end(finish);
   sched_.on_transmit_complete(p, finish);
   if (trace_on_) [[unlikely]]
@@ -138,9 +139,13 @@ void ScheduledServer::complete_transmission(const Packet& p, Time start,
 
 void ScheduledServer::on_event(sim::Event& ev, Time now) {
   switch (ev.op) {
-    case sim::EventOp::kServiceComplete:
-      complete_transmission(ev.packet, /*start=*/ev.t0, /*finish=*/now);
+    case sim::EventOp::kSlotFired: {
+      // Copied out first: a departure callback may re-enter the server and
+      // start the next transmission over tx_.
+      const Packet p = tx_;
+      complete_transmission(p, /*start=*/tx_start_, /*finish=*/now);
       break;
+    }
     case sim::EventOp::kArrival:
       inject(std::move(ev.packet));
       break;

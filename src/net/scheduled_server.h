@@ -30,11 +30,11 @@ enum class OverloadPolicy {
 // overload (buffer limit + policy), and churn (remove/rejoin) all resolve
 // here into counted, traced drops — never into exceptions from the hot path.
 //
-// As a sim::EventTarget the server consumes typed events: its own
-// kServiceComplete (scheduled by try_start; the in-flight packet lives in
-// the event slab, not in a closure), kArrival from upstream hops
-// (network/mesh propagation), and kChurnLeave/kChurnJoin from the fault
-// injector. None of these allocate in steady state.
+// As a sim::EventTarget the server consumes typed events: kSlotFired from
+// its own one-event slot (armed by try_start for the finish time; the
+// in-flight packet and its start time live in the server), kArrival from
+// upstream hops (network/mesh propagation), and kChurnLeave/kChurnJoin from
+// the fault injector. None of these allocate in steady state.
 class ScheduledServer : public sim::EventTarget {
  public:
   using DepartureFn = std::function<void(const Packet&, Time departure)>;
@@ -91,7 +91,7 @@ class ScheduledServer : public sim::EventTarget {
   // Takes ownership of the current profile, e.g. to wrap it. The caller must
   // set_profile() a replacement before the next transmission starts.
   std::unique_ptr<RateProfile> release_profile() { return std::move(profile_); }
-  bool busy() const { return busy_; }
+  bool busy() const { return sim_.armed(slot_); }
   uint64_t drops() const { return drops_; }
   // Per-cause breakdown of drops().
   uint64_t drops(obs::DropCause cause) const {
@@ -120,7 +120,10 @@ class ScheduledServer : public sim::EventTarget {
   bool trace_on_ = false;  // tracer_ set AND it has a consuming sink
   std::size_t buffer_limit_ = 0;
   OverloadPolicy overload_policy_ = OverloadPolicy::kTailDrop;
-  bool busy_ = false;
+  // The one transmission in flight: armed while busy, fires at its finish.
+  sim::SlotId slot_;
+  Packet tx_{};
+  Time tx_start_ = 0.0;
   uint64_t drops_ = 0;
   uint64_t cause_drops_[obs::kDropCauseCount] = {};
 };

@@ -1,5 +1,6 @@
 #include "sim/event_queue.h"
 
+#include <stdexcept>
 #include <utility>
 
 namespace sfq::sim {
@@ -46,6 +47,18 @@ EventId EventQueue::schedule(Time when, std::function<void()> action) {
   ev.op = EventOp::kCallback;
   ev.fn_slot = acquire_fn_slot(std::move(action));
   return schedule(when, ev);
+}
+
+SlotId EventQueue::add_slot(EventTarget* target) {
+  Event& ev = slot_events_.emplace_back();
+  ev.op = EventOp::kSlotFired;
+  ev.target = target;
+  ev.aux = static_cast<uint32_t>(slot_events_.size() - 1);
+  return ev.aux;
+}
+
+void EventQueue::throw_bad_arm() {
+  throw std::logic_error("EventQueue: arm() of an armed or unknown slot");
 }
 
 void EventQueue::cancel(EventId id) {

@@ -1,11 +1,13 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <vector>
 
 #include "core/sfq_scheduler.h"
 #include "net/network.h"
 #include "net/rate_profile.h"
 #include "sim/simulator.h"
+#include "stats/service_recorder.h"
 #include "traffic/sink.h"
 #include "traffic/sources.h"
 
@@ -74,6 +76,10 @@ TEST(TandemNetwork, PerHopRecordersTrackService) {
   hops.push_back(make_hop(100.0, 0.0));
   TandemNetwork net(sim, std::move(hops));
   FlowId f = net.add_flow(50.0, 10.0);
+  // The network records nothing itself; attach a recorder at every hop.
+  std::vector<stats::ServiceRecorder> recorders(net.hop_count());
+  for (std::size_t i = 0; i < net.hop_count(); ++i)
+    net.server(i).set_recorder(&recorders[i]);
 
   traffic::CbrSource src(
       sim, f,
@@ -86,10 +92,10 @@ TEST(TandemNetwork, PerHopRecordersTrackService) {
   // (0.2 accumulates FP error, so 2.0 is not a safe boundary).
   src.run(0.0, 1.9);
   sim.run();
-  net.finish_recording();
+  for (stats::ServiceRecorder& r : recorders) r.finish(sim.now());
 
   for (std::size_t i = 0; i < net.hop_count(); ++i)
-    EXPECT_EQ(net.recorder(i).served_packets(f), 10u) << "hop " << i;
+    EXPECT_EQ(recorders[i].served_packets(f), 10u) << "hop " << i;
 }
 
 TEST(TandemNetwork, FlowOrderPreservedEndToEnd) {

@@ -125,6 +125,47 @@ TEST(ScheduledServer, NonPreemptiveAcrossRateDrop) {
   EXPECT_DOUBLE_EQ(departed, 3.0);
 }
 
+TEST(ScheduledServer, DepartureCallbackMayReinjectIntoTheSameServer) {
+  // Each departure re-injects its packet (hops + 1) before returning, so the
+  // next transmission starts inside the callback; the departing packet the
+  // callback holds must stay intact after that.
+  sim::Simulator sim;
+  FifoScheduler sched;
+  net::ScheduledServer server(sim, sched,
+                              std::make_unique<net::ConstantRate>(10.0));
+  stats::ServiceRecorder rec;
+  server.set_recorder(&rec);
+  struct Dep {
+    FlowId flow;
+    uint64_t seq;
+    uint32_t hops;
+    Time t;
+    bool busy_after;
+    bool operator==(const Dep&) const = default;
+  };
+  std::vector<Dep> deps;
+  server.set_departure([&](const Packet& p, Time t) {
+    if (p.hops < 2) {
+      Packet again = p;
+      ++again.hops;
+      EXPECT_TRUE(server.inject(again));
+    }
+    deps.push_back(Dep{p.flow, p.seq, p.hops, t, server.busy()});
+  });
+  sim.at(0.0, [&] {
+    server.inject(mk(0, 1, 10.0));
+    server.inject(mk(1, 7, 10.0));
+  });
+  sim.run();
+  const std::vector<Dep> want = {
+      {0, 1, 0, 1.0, true},  {1, 7, 0, 2.0, true},  {0, 1, 1, 3.0, true},
+      {1, 7, 1, 4.0, true},  {0, 1, 2, 5.0, false}, {1, 7, 2, 6.0, false}};
+  EXPECT_EQ(deps, want);
+  EXPECT_FALSE(server.busy());
+  EXPECT_EQ(rec.transmissions().size(), 6u);
+  EXPECT_EQ(sim.events_executed(), 7u);  // the t=0 callback + 6 completions
+}
+
 // --- PriorityServer ---------------------------------------------------------
 
 TEST(PriorityServer, HighPriorityAlwaysWins) {
